@@ -21,7 +21,8 @@ import numpy as np
 
 from .indices import OrderTable
 
-__all__ = ["change_basis", "max_wave_speed", "hermite_top_root", "conservative_moments"]
+__all__ = ["change_basis", "change_basis_batch", "max_wave_speed", "wave_speeds",
+           "hermite_top_root", "conservative_moments"]
 
 
 def change_basis(coeffs: np.ndarray, u_from, theta_from: float,
@@ -47,17 +48,58 @@ def change_basis(coeffs: np.ndarray, u_from, theta_from: float,
     weights = np.empty(6)
     weights[:3] = du
     weights[3:] = 0.5 * dtheta
-    clip6, mask6 = table._shift_clip6, table._shift_mask6
+    shift6 = table._shift6
     out = w.copy()
-    term = w
+    term = np.zeros(table.count + 1)
+    term[:-1] = w
     for j in range(1, table.M + 1):
-        term = (term[clip6] * mask6) @ weights / (-j)
-        out += term
+        nxt = weights @ term[shift6]
+        nxt /= -j
+        term[:-1] = nxt
+        out += nxt
     return out
 
 
+def change_basis_batch(coeffs: np.ndarray, u_from: np.ndarray, theta_from: np.ndarray,
+                       u_to: np.ndarray, theta_to: np.ndarray,
+                       table: OrderTable) -> np.ndarray:
+    """:func:`change_basis` applied row by row to a stack of coefficient
+    arrays: row b of the ``(B, K)`` array moves from
+    ``[u_from[b], theta_from[b]]`` to ``[u_to[b], theta_to[b]]``, with the
+    velocities given as ``(B, 3)`` and the temperatures as ``(B,)`` arrays.
+
+    The series runs on the transposed ``(K, B)`` stack, so each of the six
+    shifts is one row gather scaled by its per-row weight; series term j
+    vanishes below degree j, so it is evaluated from degree j on.
+    """
+    theta_from = np.asarray(theta_from, dtype=np.float64)
+    theta_to = np.asarray(theta_to, dtype=np.float64)
+    if np.any(theta_from <= 0.0) or np.any(theta_to <= 0.0):
+        raise ValueError("expansion temperatures must be positive")
+    K = table.count
+    weights = np.empty((6, len(theta_from)))
+    weights[:3] = (np.asarray(u_to, dtype=np.float64)
+                   - np.asarray(u_from, dtype=np.float64)).T
+    weights[3:] = 0.5 * (theta_to - theta_from)
+    off = table.degree_offset
+    term = np.zeros((K + 1, len(theta_from)))
+    term[:K] = np.asarray(coeffs, dtype=np.float64).T
+    out = term[:K].copy()
+    for j in range(1, table.M + 1):
+        lo = off[j]
+        gather = table._shift6[:, lo:]
+        nxt = term[gather[0]] * weights[0]
+        for c in range(1, 6):
+            nxt += term[gather[c]] * weights[c]
+        nxt /= -j
+        term[off[j - 1]:lo] = 0.0
+        term[lo:K] = nxt
+        out[lo:] += nxt
+    return out.T
+
+
 @lru_cache(maxsize=None)
-def _table_for_count(count: int) -> OrderTable:
+def _table_for(count: int) -> OrderTable:
     M = 0
     while OrderTable(M).count < count:
         M += 1
@@ -67,27 +109,26 @@ def _table_for_count(count: int) -> OrderTable:
     return table
 
 
-def _table_for(count: int) -> OrderTable:
-    return _table_for_count(count)
-
-
 @lru_cache(maxsize=None)
 def hermite_top_root(n: int) -> float:
-    """Largest root of the probabilists' Hermite polynomial He_n.
-
-    Computed as the top eigenvalue of the symmetric tridiagonal Jacobi
-    matrix of the three-term recurrence (off-diagonals sqrt(k)).
-    """
+    """Largest root of the probabilists' Hermite polynomial He_n, the top
+    node of numpy's n-point Gauss-Hermite_e rule (``hermegauss``)."""
     if n < 1:
         raise ValueError("Hermite degree must be >= 1")
     nodes, _ = np.polynomial.hermite_e.hermegauss(n)
     return float(nodes[-1])
 
 
+def wave_speeds(u1, theta, order: int):
+    """Largest characteristic speed |u1| + C_{M+1} sqrt(theta) of the
+    order-M moment system, with C_{M+1} the top root of He_{M+1};
+    elementwise over arrays of normal velocities and temperatures."""
+    return np.abs(u1) + hermite_top_root(order + 1) * np.sqrt(theta)
+
+
 def max_wave_speed(state) -> float:
-    """Largest characteristic speed |u1| + C_{M+1} sqrt(theta) of the order-M
-    moment system, with C_{M+1} the top root of He_{M+1}."""
-    return abs(float(state.u[0])) + hermite_top_root(state.order + 1) * np.sqrt(state.theta)
+    """:func:`wave_speeds` of one state."""
+    return float(wave_speeds(state.u[0], state.theta, state.order))
 
 
 def conservative_moments(coeffs: np.ndarray, u, theta: float,

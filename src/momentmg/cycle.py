@@ -159,8 +159,8 @@ def solve(field: Field, grid: Grid1D, src: ScenarioSource, walls,
     """Repeat top-level cycles until the weighted global residual of the
     homogeneous problem drops below tol.  Non-convergence returns the
     history instead of raising."""
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     diag = CycleDiagnostics()
     target_mass = total_mass(field, grid) if walls is not None else None
     top = plan.levels - 1

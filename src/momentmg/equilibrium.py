@@ -24,10 +24,10 @@ import numpy as np
 
 from .errors import EquilibriumDomainError
 from .indices import OrderTable
-from .states import MomentState, derived_moments
+from .states import _SIGMA_SCALE, MomentState, _derived_plan
 
 __all__ = ["CollisionKind", "NuLaw", "CollisionSpec", "collision_frequency",
-           "equilibrium_coeffs"]
+           "equilibrium_coeffs", "equilibrium_batch"]
 
 
 class CollisionKind(enum.Enum):
@@ -56,8 +56,9 @@ class CollisionSpec:
             raise ValueError("Knudsen number must be positive")
 
 
-def collision_frequency(spec: CollisionSpec, rho: float, theta: float) -> float:
-    """Average collision frequency for the selected law."""
+def collision_frequency(spec: CollisionSpec, rho, theta):
+    """Average collision frequency for the selected law; elementwise over
+    arrays of densities and temperatures."""
     if spec.nu_law is NuLaw.POWER_LAW:
         return np.sqrt(np.pi / 2.0) * (spec.prandtl / spec.kn) * rho * theta ** (1.0 - spec.w)
     return 3.2 * np.sqrt(theta / (2.0 * np.pi)) * (spec.prandtl / spec.kn) * rho
@@ -122,13 +123,14 @@ _EYE3 = np.eye(3)
 _EYE3.setflags(write=False)
 
 
-def _gaussian_coeffs(rho: float, theta: float, lam: np.ndarray, table: OrderTable) -> np.ndarray:
-    C = ((lam - theta * _EYE3) / theta).ravel()
-    E = np.zeros(table.count)
-    E[0] = 1.0
+def _gaussian_coeffs(rho: np.ndarray, theta: np.ndarray, lam: np.ndarray,
+                     table: OrderTable) -> np.ndarray:
+    C = ((lam - theta[:, None, None] * _EYE3) / theta[:, None, None]).reshape(len(rho), 9)
+    E = np.zeros((len(rho), table.count))
+    E[:, 0] = 1.0
     for tgt, inv_ai, src, mask, cflat in _gaussian_recursion_plan(table.M):
-        E[tgt] = inv_ai * ((C[cflat] * mask * E[src]).sum(axis=1))
-    scale = rho * theta ** (table.degree / 2.0)
+        E[:, tgt] = inv_ai * ((C[:, cflat] * mask * E[:, src]).sum(axis=2))
+    scale = rho[:, None] * theta[:, None] ** (table.degree / 2.0)
     return scale * E
 
 
@@ -136,35 +138,46 @@ def equilibrium_coeffs(s: MomentState, spec: CollisionSpec) -> np.ndarray:
     """Coefficients of the relaxation target projected onto the state's own
     order-M space.  The conservative components are exact: f^E_0 = rho, the
     unit-index entries vanish and sum(f^E_{2 e_d}) = 0."""
-    table = s.table
+    return equilibrium_batch(s.coeffs[None], np.array([s.theta]), spec, s.table)[0]
+
+
+def equilibrium_batch(coeffs: np.ndarray, theta: np.ndarray, spec: CollisionSpec,
+                      table: OrderTable) -> np.ndarray:
+    """:func:`equilibrium_coeffs` of a ``(B, K)`` stack of admissible
+    states, each about its own centre, with temperatures ``theta``."""
+    rho = coeffs[:, 0]
+    out = np.zeros_like(coeffs)
+    out[:, 0] = rho
     if spec.kind is CollisionKind.BGK:
-        out = np.zeros(table.count)
-        out[0] = s.rho
         return out
 
-    mom = derived_moments(s)
+    pair, q3, q12 = _derived_plan(table.M)
     if spec.kind is CollisionKind.SHAKHOV:
-        out = np.zeros(table.count)
-        out[0] = s.rho
-        if s.order >= 3:
+        if q3 is not None:
+            # q_i = 2 f_{3 e_i} + sum_d f_{2 e_d + e_i}
+            q = 2.0 * coeffs[:, q3] + coeffs[:, q12].sum(axis=2)
             amp = (1.0 - spec.prandtl) / 5.0
-            for d, ranks in enumerate(_heatflux_plan(s.order)):
-                out[ranks] += amp * mom.q[d]
+            for d, ranks in enumerate(_heatflux_plan(table.M)):
+                out[:, ranks] += amp * q[:, d:d + 1]
         return out
 
-    # anisotropic Gaussian
-    lam = s.theta * _EYE3 + (1.0 - 1.0 / spec.prandtl) * mom.sigma / s.rho
+    # anisotropic Gaussian; sigma_ij = (1 + delta_ij) f_{e_i + e_j}
+    sigma = coeffs[:, pair] * _SIGMA_SCALE
+    lam = (theta[:, None, None] * _EYE3
+           + (1.0 - 1.0 / spec.prandtl) * sigma / rho[:, None, None])
     # positive definiteness via leading principal minors (3x3 Sylvester)
-    d1 = lam[0, 0]
-    d2 = lam[0, 0] * lam[1, 1] - lam[0, 1] * lam[1, 0]
-    d3 = (lam[0, 0] * (lam[1, 1] * lam[2, 2] - lam[1, 2] * lam[2, 1])
-          - lam[0, 1] * (lam[1, 0] * lam[2, 2] - lam[1, 2] * lam[2, 0])
-          + lam[0, 2] * (lam[1, 0] * lam[2, 1] - lam[1, 1] * lam[2, 0]))
-    if d1 <= 0.0 or d2 <= 0.0 or d3 <= 0.0:
+    d1 = lam[:, 0, 0]
+    d2 = lam[:, 0, 0] * lam[:, 1, 1] - lam[:, 0, 1] * lam[:, 1, 0]
+    d3 = (lam[:, 0, 0] * (lam[:, 1, 1] * lam[:, 2, 2] - lam[:, 1, 2] * lam[:, 2, 1])
+          - lam[:, 0, 1] * (lam[:, 1, 0] * lam[:, 2, 2] - lam[:, 1, 2] * lam[:, 2, 0])
+          + lam[:, 0, 2] * (lam[:, 1, 0] * lam[:, 2, 1] - lam[:, 1, 1] * lam[:, 2, 0]))
+    bad = (d1 <= 0.0) | (d2 <= 0.0) | (d3 <= 0.0)
+    if bad.any():
+        b = int(np.argmax(bad))
         raise EquilibriumDomainError(
-            f"anisotropy tensor not positive definite (eigs {np.linalg.eigvalsh(lam)})")
-    out = _gaussian_coeffs(s.rho, s.theta, lam, table)
+            f"anisotropy tensor not positive definite (eigs {np.linalg.eigvalsh(lam[b])})")
+    out = _gaussian_coeffs(rho, theta, lam, table)
     # trace cleanup; exact up to roundoff already since tr(sigma) = 0
-    out[table.r_unit] = 0.0
-    out[table.r_unit2] -= out[table.r_unit2].sum() / 3.0
+    out[:, table.r_unit] = 0.0
+    out[:, table.r_unit2] -= out[:, table.r_unit2].sum(axis=1, keepdims=True) / 3.0
     return out

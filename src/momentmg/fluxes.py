@@ -10,7 +10,7 @@ from .basis import change_basis, max_wave_speed
 from .indices import OrderTable
 from .states import MomentState
 
-__all__ = ["advection_flux_coeffs", "flux_from_coeffs", "numerical_flux"]
+__all__ = ["flux_from_coeffs", "lf_flux", "numerical_flux"]
 
 
 @lru_cache(maxsize=None)
@@ -24,30 +24,35 @@ def _flux_plan(M: int):
     return lower, np.where(raise_ >= 0, raise_, 0), factor
 
 
-def flux_from_coeffs(coeffs: np.ndarray, u1: float, theta: float, table: OrderTable) -> np.ndarray:
+def flux_from_coeffs(coeffs: np.ndarray, u1, theta, table: OrderTable) -> np.ndarray:
     """Phi_alpha = theta f_{alpha-e1} + u1 f_alpha + (1-delta_{|alpha|,M})
-    (alpha_1+1) f_{alpha+e1}, in the basis carrying ``(u1, theta)``."""
+    (alpha_1+1) f_{alpha+e1}, in the basis carrying ``(u1, theta)``.
+
+    Acts along the last axis, so a ``(B, K)`` stack takes ``(B, 1)``
+    columns of normal velocities and temperatures."""
     lower, raise_safe, factor = _flux_plan(table.M)
-    out = u1 * coeffs + factor * coeffs[raise_safe]
-    out += theta * np.where(lower >= 0, coeffs[lower], 0.0)
+    out = u1 * coeffs + factor * coeffs[..., raise_safe]
+    out += theta * np.where(lower >= 0, coeffs[..., lower], 0.0)
     return out
 
 
-def advection_flux_coeffs(s: MomentState) -> np.ndarray:
-    return flux_from_coeffs(s.coeffs, float(s.u[0]), s.theta, s.table)
+def lf_flux(wl: np.ndarray, wr: np.ndarray, lam, u1, theta,
+            table: OrderTable) -> np.ndarray:
+    """Local Lax-Friedrichs flux 0.5 (Phi(L) + Phi(R)) - 0.5 lambda (R - L)
+    of two coefficient arrays already expressed in the basis ``(u1, theta)``;
+    broadcasts like :func:`flux_from_coeffs`."""
+    phi = flux_from_coeffs(wl + wr, u1, theta, table)
+    return 0.5 * phi - 0.5 * lam * (wr - wl)
 
 
 def numerical_flux(left: MomentState, right: MomentState,
                    target_u, target_theta: float,
                    table: OrderTable | None = None) -> np.ndarray:
-    """Local Lax-Friedrichs interface flux expressed in the target basis:
-    0.5 (Phi(L) + Phi(R)) - 0.5 lambda (R - L), with lambda the larger of
-    the two states' characteristic speed bounds."""
+    """:func:`lf_flux` of two states re-centred onto the target basis, with
+    lambda the larger of the two states' characteristic speed bounds."""
     if table is None:
         table = left.table
     wl = change_basis(left.coeffs, left.u, left.theta, target_u, target_theta, table)
     wr = change_basis(right.coeffs, right.u, right.theta, target_u, target_theta, table)
     lam = max(max_wave_speed(left), max_wave_speed(right))
-    u1 = float(target_u[0])
-    phi = flux_from_coeffs(wl + wr, u1, target_theta, table)
-    return 0.5 * phi - 0.5 * lam * (wr - wl)
+    return lf_flux(wl, wr, lam, float(target_u[0]), target_theta, table)

@@ -85,18 +85,14 @@ class OrderTable:
         # gather and a multiply instead of np.where
         self._minus_clip = np.maximum(self.minus, 0)
         self._minus_mask = (self.minus >= 0).astype(np.float64)
-        self._minus2_clip = np.maximum(self.minus2, 0)
-        self._minus2_mask = (self.minus2 >= 0).astype(np.float64)
-        self._minus_clip_t = np.ascontiguousarray(self._minus_clip.T)
-        self._minus_mask_t = np.ascontiguousarray(self._minus_mask.T)
-        self._minus2_clip_t = np.ascontiguousarray(self._minus2_clip.T)
-        self._minus2_mask_t = np.ascontiguousarray(self._minus2_mask.T)
-        # fused 6-column gather: columns 0-2 are alpha - e_d, 3-5 alpha - 2 e_d
-        self._shift_clip6 = np.hstack([self._minus_clip_t, self._minus2_clip_t])
-        self._shift_mask6 = np.hstack([self._minus_mask_t, self._minus2_mask_t])
+        # six-shift gather of the re-centring series: rows 0-2 are
+        # alpha - e_d, rows 3-5 alpha - 2 e_d; an undefined shift points at
+        # index ``count``, a zero appended to the gathered array
+        self._shift6 = np.vstack([self.minus, self.minus2])
+        self._shift6[self._shift6 < 0] = self.count
 
         for arr in (self.alphas, self.degree, self.degree_offset,
-                    self.minus, self.minus2, self.plus, self.factorial):
+                    self.minus, self.minus2, self.plus, self.factorial, self._shift6):
             arr.setflags(write=False)
 
     def rank(self, alpha) -> int:
@@ -114,19 +110,9 @@ class OrderTable:
         return tuple(int(x) for x in self.alphas[r])
 
     def shift_down(self, w: np.ndarray, d: int) -> np.ndarray:
-        """Coefficient array of ``alpha -> w[alpha - e_d]`` (zero where undefined)."""
-        return w[self._minus_clip[d]] * self._minus_mask[d]
-
-    def shift_down2(self, w: np.ndarray, d: int) -> np.ndarray:
-        return w[self._minus2_clip[d]] * self._minus2_mask[d]
-
-    def shift_down_dot(self, w: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        """``sum_d delta_d w[alpha - e_d]`` in one gather."""
-        return (w[self._minus_clip_t] * self._minus_mask_t) @ delta
-
-    def trace_shift_down2(self, w: np.ndarray) -> np.ndarray:
-        """``sum_d w[alpha - 2 e_d]`` in one gather."""
-        return (w[self._minus2_clip_t] * self._minus2_mask_t).sum(axis=1)
+        """Coefficient array of ``alpha -> w[alpha - e_d]`` (zero where
+        undefined), along the last axis of ``w``."""
+        return w[..., self._minus_clip[d]] * self._minus_mask[d]
 
 
 def rank(alpha, M: int) -> int:

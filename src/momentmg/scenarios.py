@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import enum
+import math
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -63,8 +64,10 @@ class ScenarioConfig:
             raise ConfigError("initial density and temperature must be positive")
         if self.levels < 1:
             raise ConfigError("level count must be >= 1")
-        if self.tol <= 0.0 or self.max_iters < 1:
-            raise ConfigError("need tol > 0 and max_iters >= 1")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ConfigError(f"tol must be finite and positive, got {self.tol}")
+        if self.max_iters < 1:
+            raise ConfigError("need max_iters >= 1")
         if self.kind is ScenarioKind.COUETTE and any(f != 0.0 for f in self.force):
             raise ConfigError("Couette flow carries no body force")
         if self.kind is ScenarioKind.POISEUILLE and any(

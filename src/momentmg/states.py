@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import change_basis, conservative_moments
+from .basis import _table_for, change_basis, conservative_moments
 from .errors import PositivityError
 from .indices import OrderTable, moment_count
 
@@ -124,16 +124,11 @@ def recover_macros(raw_coeffs: np.ndarray, u0, theta0: float, M: int | None = No
     Raises :class:`PositivityError` when the raw array carries non-positive
     mass or temperature (the smoother's step-size back-off catches this).
     """
-    table = OrderTable(M) if M is not None else _table_from_len(len(raw_coeffs))
+    table = OrderTable(M) if M is not None else _table_for(len(raw_coeffs))
     rho, u_bar, theta_bar = macros_of(np.asarray(raw_coeffs, dtype=np.float64), u0, theta0, table)
     w = change_basis(raw_coeffs, u0, theta0, u_bar, theta_bar, table)
     _enforce_admissibility(w, table)
     return MomentState(table.M, u_bar, theta_bar, w)
-
-
-def _table_from_len(count: int) -> OrderTable:
-    from .basis import _table_for
-    return _table_for(count)
 
 
 def specular_reflect(s: MomentState) -> MomentState:

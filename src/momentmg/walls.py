@@ -117,49 +117,56 @@ def mix_states(weights_states: list[tuple[float, MomentState]]) -> MomentState:
     return MomentState(table.M, u_bar, theta_bar, coeffs)
 
 
-def _half_flux_matrix(u1: float, theta: float, M: int, positive: bool,
-                      nodes: int) -> np.ndarray:
-    """Matrix A with (half-space flux)_n = sum_m A[n, m] f_{(m, a2, a3)}.
+@lru_cache(maxsize=None)
+def _wall_plan(M: int, nodes: int):
+    """Per-order tables of the wall flux: the Gauss-Legendre rule, the
+    theta-power exponents and factorials of the half-space matrices, and the
+    normal chains (fixed tangential index (a2, a3), a1 running 0..M-a2-a3)
+    as one padded gather with its mask and the flat positions that put the
+    chain results back in rank order."""
+    table = OrderTable(M)
+    x, w = _gauss_legendre(nodes)
+    n_idx = np.arange(M + 1)
+    power = 0.5 * (n_idx[:, None] - n_idx[None, :])
+    fact = np.array([math.factorial(n) for n in range(M + 1)], dtype=float)
+    chains = [[table.rank((m, a2, a3)) for m in range(M + 1 - a2 - a3)]
+              for a2 in range(M + 1) for a3 in range(M + 1 - a2)]
+    gather = np.zeros((len(chains), M + 1), dtype=np.int64)
+    mask = np.zeros((len(chains), M + 1))
+    for p, ranks in enumerate(chains):
+        gather[p, :len(ranks)] = ranks
+        mask[p, :len(ranks)] = 1.0
+    scatter = np.empty(table.count, dtype=np.int64)
+    scatter[gather[mask > 0]] = np.flatnonzero(mask)
+    return x, w, power, fact, gather, mask, scatter
+
+
+def _half_flux_matrices(u1: float, theta: float, M: int, nodes: int) -> np.ndarray:
+    """Matrices A[s] with (half-space flux)_n = sum_m A[s, n, m] f_{(m, a2, a3)},
+    s = 0 for the half-space xi_1 > 0 and s = 1 for xi_1 < 0.
 
     Projects xi_1 * f, restricted to one xi_1 half-space, back onto the
     expansion about (u1, theta); tangential directions are orthogonal and
-    untouched, so the action is a matrix on each fixed-(a2, a3) chain.
+    untouched, so the action is a matrix on each fixed-(a2, a3) chain.  Both
+    half-spaces share one stacked node set.
     """
+    x, w, power, fact, *_ = _wall_plan(M, nodes)
     rt = np.sqrt(theta)
     c = -u1 / rt
-    if positive:
-        lo, hi = c, max(c, 0.0) + _CUTOFF
-    else:
-        lo, hi = min(c, 0.0) - _CUTOFF, c
-    x, w = _gauss_legendre(nodes)
+    lo = np.array([c, min(c, 0.0) - _CUTOFF])
+    hi = np.array([max(c, 0.0) + _CUTOFF, c])
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    v = mid + half * x
-    he = _hermite_column(v, M)
-    g = half * w * (u1 + rt * v) * np.exp(-0.5 * v * v) / np.sqrt(2.0 * np.pi)
-    B = he @ (he * g).T  # B[n, m] = int (u1 + rt v) He_n He_m exp(-v^2/2) / sqrt(2 pi)
-    n_idx = np.arange(M + 1)
-    fact = np.array([math.factorial(n) for n in range(M + 1)], dtype=float)
-    return B * theta ** (0.5 * (n_idx[:, None] - n_idx[None, :])) / fact[:, None]
+    v = mid[:, None] + half[:, None] * x
+    he = _hermite_column(v.ravel(), M).reshape(M + 1, 2, nodes).transpose(1, 0, 2)
+    g = half[:, None] * w * (u1 + rt * v) * np.exp(-0.5 * v * v) / np.sqrt(2.0 * np.pi)
+    B = he @ (he * g[:, None, :]).transpose(0, 2, 1)  # B[s, n, m] = int (u1 + rt v) He_n He_m ...
+    return B * theta ** power / fact[:, None]
 
 
-@lru_cache(maxsize=None)
-def _normal_chains(M: int) -> list[np.ndarray]:
-    """Rank chains of fixed tangential index (a2, a3), a1 running 0..M-a2-a3."""
-    table = OrderTable(M)
-    chains = []
-    for a2 in range(M + 1):
-        for a3 in range(M + 1 - a2):
-            chains.append(np.array([table.rank((m, a2, a3))
-                                    for m in range(M + 1 - a2 - a3)]))
-    return chains
-
-
-def _apply_half_flux(A: np.ndarray, coeffs: np.ndarray, M: int) -> np.ndarray:
-    out = np.zeros_like(coeffs)
-    for ranks in _normal_chains(M):
-        k = len(ranks)
-        out[ranks] = A[:k, :k] @ coeffs[ranks]
-    return out
+def _apply_half_flux(A: np.ndarray, coeffs: np.ndarray, M: int, nodes: int) -> np.ndarray:
+    """Apply one half-space matrix to every normal chain of ``coeffs``."""
+    *_, gather, mask, scatter = _wall_plan(M, nodes)
+    return ((coeffs[gather] * mask) @ A.T).ravel()[scatter]
 
 
 def wall_flux(inner: MomentState, wall: BoundarySpec, side: Side,
@@ -175,16 +182,15 @@ def wall_flux(inner: MomentState, wall: BoundarySpec, side: Side,
     """
     table = inner.table
     M, u, theta = inner.order, inner.u, inner.theta
-    u1 = float(u[0])
-    toward_positive = side is Side.RIGHT  # half-space moving into the wall
-    A_in = _half_flux_matrix(u1, theta, M, toward_positive, nodes)
-    A_out = _half_flux_matrix(u1, theta, M, not toward_positive, nodes)
+    A_pos, A_neg = _half_flux_matrices(float(u[0]), theta, M, nodes)
+    # the half-space moving into the wall is xi_1 > 0 at the right wall
+    A_in, A_out = (A_pos, A_neg) if side is Side.RIGHT else (A_neg, A_pos)
 
-    flux = _apply_half_flux(A_in, inner.coeffs, M)
+    flux = _apply_half_flux(A_in, inner.coeffs, M, nodes)
     if wall.chi < 1.0:
         spec = specular_reflect(inner)
         w_spec = change_basis(spec.coeffs, spec.u, spec.theta, u, theta, table)
-        flux += (1.0 - wall.chi) * _apply_half_flux(A_out, w_spec, M)
+        flux += (1.0 - wall.chi) * _apply_half_flux(A_out, w_spec, M, nodes)
     if wall.chi == 0.0:
         return flux
 
@@ -192,7 +198,7 @@ def wall_flux(inner: MomentState, wall: BoundarySpec, side: Side,
     unit = np.zeros(table.count)
     unit[0] = 1.0
     w_mw = change_basis(unit, u_w, wall.theta_wall, u, theta, table)
-    flux_mw = _apply_half_flux(A_out, w_mw, M)
+    flux_mw = _apply_half_flux(A_out, w_mw, M, nodes)
     if flux_mw[0] == 0.0:
         raise BoundaryError("wall Maxwellian carries no outgoing mass flux")
     rho_w = -flux[0] / (wall.chi * flux_mw[0])

@@ -114,3 +114,193 @@ def random_admissible(rng, M: int, scale: float = 0.05):
     u = rng.normal(scale=0.3, size=3)
     theta = 0.5 + rng.random()
     return MomentState(M, u, theta, coeffs)
+
+
+# --- per-cell references for the batched defect kernel -------------------
+#
+# The cell-by-cell evaluation the solver used before its defect terms were
+# batched: one state at a time, every face through ``numerical_flux`` or the
+# chain-by-chain wall flux below, the equilibrium from the scalar closed
+# forms.  Tests compare the batched paths against these.
+
+def reference_equilibrium(s, spec):
+    """Relaxation-target coefficients of one state, evaluated for that state
+    alone (plain, heat-flux-corrected or anisotropic-Gaussian model)."""
+    from momentmg import CollisionKind, derived_moments
+    table = s.table
+    out = np.zeros(table.count)
+    out[0] = s.rho
+    if spec.kind is CollisionKind.BGK:
+        return out
+    mom = derived_moments(s)
+    if spec.kind is CollisionKind.SHAKHOV:
+        if s.order >= 3:
+            amp = (1.0 - spec.prandtl) / 5.0
+            for d in range(3):
+                a = [0, 0, 0]
+                a[d] = 3
+                out[table.rank(a)] += amp * mom.q[d]
+                for e in range(3):
+                    if e != d:
+                        a = [0, 0, 0]
+                        a[d], a[e] = 1, 2
+                        out[table.rank(a)] += amp * mom.q[d]
+        return out
+    lam = s.theta * np.eye(3) + (1.0 - 1.0 / spec.prandtl) * mom.sigma / s.rho
+    C = (lam - s.theta * np.eye(3)) / s.theta
+    # alpha_i E_alpha = sum_j C_ij E_{alpha - e_i - e_j}, i the first nonzero axis
+    E = np.zeros(table.count)
+    E[0] = 1.0
+    for r in range(1, table.count):
+        a = table.alphas[r]
+        if table.degree[r] % 2:
+            continue
+        i = int(np.nonzero(a)[0][0])
+        acc = 0.0
+        for j in range(3):
+            b = a.copy()
+            b[i] -= 1
+            b[j] -= 1
+            if b.min() >= 0:
+                acc += C[i, j] * E[table.rank(b)]
+        E[r] = acc / a[i]
+    out = s.rho * s.theta ** (table.degree / 2.0) * E
+    out[table.r_unit] = 0.0
+    out[table.r_unit2] -= out[table.r_unit2].sum() / 3.0
+    return out
+
+
+def reference_source(s, src):
+    """G_alpha = sum_d F_d f_{alpha - e_d} + nu (f^E_alpha - f_alpha)."""
+    from momentmg import collision_frequency
+    table = s.table
+    nu = collision_frequency(src.collision, s.rho, s.theta)
+    out = nu * (reference_equilibrium(s, src.collision) - s.coeffs)
+    for d in range(3):
+        if src.force[d] != 0.0:
+            for r, a in enumerate(table.alphas):
+                if a[d] >= 1:
+                    b = a.copy()
+                    b[d] -= 1
+                    out[r] += src.force[d] * s.coeffs[table.rank(b)]
+    return out
+
+
+_WALL_CUTOFF = 12.0  # the package's integration window, in thermal units
+_WALL_NODES = 32     # and its Gauss-Legendre node count
+
+
+def _reference_half_flux_matrix(u1, theta, M, positive):
+    rt = math.sqrt(theta)
+    c = -u1 / rt
+    lo, hi = (c, max(c, 0.0) + _WALL_CUTOFF) if positive else (min(c, 0.0) - _WALL_CUTOFF, c)
+    x, w = np.polynomial.legendre.leggauss(_WALL_NODES)
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    v = mid + half * x
+    he = np.empty((M + 1, len(v)))
+    he[0] = 1.0
+    he[1] = v
+    for n in range(1, M):
+        he[n + 1] = v * he[n] - n * he[n - 1]
+    g = half * w * (u1 + rt * v) * np.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi)
+    B = he @ (he * g).T
+    n_idx = np.arange(M + 1)
+    fact = np.array([math.factorial(n) for n in range(M + 1)], dtype=float)
+    return B * theta ** (0.5 * (n_idx[:, None] - n_idx[None, :])) / fact[:, None]
+
+
+def _reference_apply_half_flux(A, coeffs, table):
+    M = table.M
+    out = np.zeros_like(coeffs)
+    for a2 in range(M + 1):
+        for a3 in range(M + 1 - a2):
+            ranks = [table.rank((m, a2, a3)) for m in range(M + 1 - a2 - a3)]
+            k = len(ranks)
+            out[ranks] = A[:k, :k] @ coeffs[ranks]
+    return out
+
+
+def reference_wall_flux(inner, wall, side):
+    """Wall-face flux with both half-space matrices built separately and
+    applied chain by chain (fixed tangential index, a1 running)."""
+    from momentmg import change_basis
+    from momentmg.states import specular_reflect
+    from momentmg.walls import Side
+    table = inner.table
+    M, u, theta = inner.order, inner.u, inner.theta
+    u1 = float(u[0])
+    toward_positive = side is Side.RIGHT
+    A_in = _reference_half_flux_matrix(u1, theta, M, toward_positive)
+    A_out = _reference_half_flux_matrix(u1, theta, M, not toward_positive)
+    flux = _reference_apply_half_flux(A_in, inner.coeffs, table)
+    if wall.chi < 1.0:
+        spec = specular_reflect(inner)
+        w_spec = change_basis(spec.coeffs, spec.u, spec.theta, u, theta, table)
+        flux += (1.0 - wall.chi) * _reference_apply_half_flux(A_out, w_spec, table)
+    if wall.chi == 0.0:
+        return flux
+    u_w = np.array([0.0, wall.u_wall[0], wall.u_wall[1]])
+    unit = np.zeros(table.count)
+    unit[0] = 1.0
+    w_mw = change_basis(unit, u_w, wall.theta_wall, u, theta, table)
+    flux_mw = _reference_apply_half_flux(A_out, w_mw, table)
+    rho_w = -flux[0] / (wall.chi * flux_mw[0])
+    return flux + wall.chi * rho_w * flux_mw
+
+
+def reference_cell_residual(f_prev, f_this, f_next, dx, src, rhs_i=None,
+                            wall_left=None, wall_right=None):
+    """Defect r_i - R_i of one cell, R_i = (F_right - F_left) / dx - G."""
+    from momentmg import change_basis
+    from momentmg.fluxes import numerical_flux
+    from momentmg.walls import Side
+    table = f_this.table
+    u, theta = f_this.u, f_this.theta
+    if wall_right is not None:
+        flux_r = reference_wall_flux(f_this, wall_right, Side.RIGHT)
+    else:
+        flux_r = numerical_flux(f_this, f_next, u, theta, table)
+    if wall_left is not None:
+        flux_l = reference_wall_flux(f_this, wall_left, Side.LEFT)
+    else:
+        flux_l = numerical_flux(f_prev, f_this, u, theta, table)
+    R = (flux_r - flux_l) / dx - reference_source(f_this, src)
+    if rhs_i is None:
+        return -R
+    return change_basis(rhs_i.coeffs, rhs_i.u, rhs_i.theta, u, theta, table) - R
+
+
+def reference_cell_defect(field, i, grid, src, walls, rhs_i=None):
+    """Defect of cell i against its current neighbours; periodic
+    wrap-around when ``walls`` is None."""
+    n = len(field)
+    wall_left = walls[0] if (walls is not None and i == 0) else None
+    wall_right = walls[1] if (walls is not None and i == n - 1) else None
+    prev = None if wall_left is not None else field.cells[(i - 1) % n]
+    nxt = None if wall_right is not None else field.cells[(i + 1) % n]
+    return reference_cell_residual(prev, field.cells[i], nxt, float(grid.dx[i]),
+                                   src, rhs_i, wall_left, wall_right)
+
+
+def reference_sgs_sweep(field, grid, src, walls, cfg, target_mass=None):
+    """Forward then backward Gauss-Seidel pass, each cell's defect evaluated
+    from scratch against its neighbours' current states."""
+    from momentmg import PositivityError, mass_correction, max_wave_speed, recover_macros
+    n = len(field)
+    for i in list(range(n)) + list(range(n - 1, -1, -1)):
+        this = field.cells[i]
+        rhs_i = None if cfg.rhs is None else cfg.rhs[i]
+        defect = reference_cell_defect(field, i, grid, src, walls, rhs_i)
+        omega = cfg.cfl * float(grid.dx[i]) / max_wave_speed(this)
+        for _ in range(cfg.max_backoff + 1):
+            try:
+                field.cells[i] = recover_macros(this.coeffs + omega * defect,
+                                                this.u, this.theta, this.order)
+                break
+            except PositivityError:
+                omega *= 0.5
+        else:
+            raise AssertionError(f"positivity back-off exhausted at cell {i}")
+    if target_mass is not None:
+        mass_correction(field, grid, target_mass)
+    return field

@@ -31,6 +31,15 @@ def test_malformed_config_file_is_bad_config(tmp_path, capsys):
     assert main(["run", "--config", str(bad)]) == EXIT_BAD_CONFIG
 
 
+def test_non_finite_tolerance_is_bad_config(tmp_path, capsys):
+    bad = tmp_path / "nan-tol.cfg"
+    bad.write_text("[scenario]\nkind = couette\nN = 8\n[solver]\ntol = nan\n")
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "a")]) == EXIT_BAD_CONFIG
+    assert main(["run", "--config", "couette", "--tol", "inf",
+                 "--out", str(tmp_path / "b")]) == EXIT_BAD_CONFIG
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
 def test_no_convergence_exit_code(tmp_path):
     # one cycle cannot reach 1e-8 from equilibrium: partial outputs kept
     cfg = couette_config(N=8, levels=2, max_iters=1)

@@ -130,6 +130,19 @@ def test_solve_validation_and_nonconvergence():
     assert result.history[1].wall_seconds >= result.history[0].wall_seconds
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+def test_solve_rejects_non_finite_tolerance(tol, monkeypatch):
+    import momentmg.cycle as cycle_mod
+
+    def no_cycle(*args, **kwargs):
+        raise AssertionError("a cycle ran before the tolerance was checked")
+
+    monkeypatch.setattr(cycle_mod, "nmlm_cycle", no_cycle)
+    field, grid, src, walls = _couette(M=4, N=8)
+    with pytest.raises(ValueError, match="finite and positive"):
+        solve(field, grid, src, walls, CyclePlan(orders=(2, 4)), tol=tol, max_iters=3)
+
+
 @pytest.mark.slow
 def test_solve_couette_two_level_converges():
     field, grid, src, walls = _couette(M=4, N=16)

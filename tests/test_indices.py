@@ -55,15 +55,17 @@ def test_shift_down_matches_manual_lookup():
             assert shifted[r] == expect
 
 
-def test_shift_down_dot_and_trace_shift():
-    rng = np.random.default_rng(4)
+def test_six_shift_gather_matches_manual_lookup():
+    # the re-centring series gathers alpha - e_d (rows 0-2) and
+    # alpha - 2 e_d (rows 3-5); undefined shifts point at the appended zero
     t = OrderTable(5)
-    w = rng.normal(size=t.count)
-    delta = np.array([0.3, -1.1, 0.7])
-    expect = sum(delta[d] * t.shift_down(w, d) for d in range(3))
-    assert np.allclose(t.shift_down_dot(w, delta), expect, atol=1e-15)
-    expect2 = sum(t.shift_down2(w, d) for d in range(3))
-    assert np.allclose(t.trace_shift_down2(w), expect2, atol=1e-15)
+    assert t._shift6.shape == (6, t.count)
+    for r, a in enumerate(t.alphas):
+        for c in range(6):
+            b = list(a)
+            b[c % 3] -= 1 + c // 3
+            expect = t.rank(b) if b[c % 3] >= 0 else t.count
+            assert t._shift6[c, r] == expect
 
 
 def test_rank_rejects_out_of_range():

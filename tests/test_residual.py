@@ -6,10 +6,15 @@ import pytest
 from momentmg import (BoundarySpec, CollisionKind, CollisionSpec, Field,
                       Grid1D, MomentState, NuLaw, OrderTable, ScenarioSource,
                       derived_moments, mass_correction, total_mass)
-from momentmg.residual import CellRhs, cell_defect, cell_residual, field_residuals, source_coeffs
+from momentmg.residual import CellRhs, cell_defect, field_residuals, source_terms
 from momentmg.states import maxwellian_state
 
 from oracles import random_admissible
+
+
+def source_coeffs(s, src):
+    """G of one state through the batched source kernel."""
+    return source_terms(s.coeffs[None], np.array([s.theta]), src, s.table)[0]
 
 
 def _periodic_setup(M=4, N=8, rho=1.0):

@@ -74,6 +74,14 @@ def test_invalid_configs_raise():
         poiseuille_config(walls=couette_config().walls)  # moving wall
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tolerance_is_config_error(tol):
+    with pytest.raises(ConfigError, match="finite and positive"):
+        couette_config(tol=float(tol))
+    with pytest.raises(ConfigError, match="finite and positive"):
+        parse_config(f"[scenario]\nkind = couette\n[solver]\ntol = {tol}\n")
+
+
 def test_parse_minimal_config():
     cfg = parse_config("[scenario]\nkind = couette\n")
     assert cfg == couette_config()
