@@ -8,7 +8,7 @@ The package is organized around a few layers:
 * ``equilibrium`` / ``norms``: relaxation targets of the BGK-family
   collision models and the weighted residual norms.
 * ``grid`` / ``fluxes`` / ``walls`` / ``residual``: the finite-volume
-  discretization, including diffuse-wall ghost states.
+  discretization.
 * ``smoother`` / ``transfer`` / ``cycle``: the symmetric Gauss-Seidel
   Richardson smoother, order restriction/prolongation, and the recursive
   multi-level correction cycle with its outer steady-state driver.

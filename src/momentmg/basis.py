@@ -115,8 +115,8 @@ def hermite_top_root(n: int) -> float:
     node of numpy's n-point Gauss-Hermite_e rule (``hermegauss``)."""
     if n < 1:
         raise ValueError("Hermite degree must be >= 1")
-    nodes, _ = np.polynomial.hermite_e.hermegauss(n)
-    return float(nodes[-1])
+    roots, _ = np.polynomial.hermite_e.hermegauss(n)
+    return float(roots[-1])
 
 
 def wave_speeds(u1, theta, order: int):

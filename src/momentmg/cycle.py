@@ -9,7 +9,7 @@ import warnings
 from dataclasses import dataclass
 
 
-from .errors import PositivityError
+from .errors import ConvergenceError, PositivityError
 from .grid import Field, Grid1D, ScenarioSource, total_mass
 from .norms import DEFAULT_NORM_CAP, global_residual_norm, local_residual_norm
 from .residual import CellRhs, field_residuals
@@ -153,12 +153,21 @@ def residual_norm_of(field: Field, grid: Grid1D, src: ScenarioSource, walls,
     return global_residual_norm(locals_, grid.dx)
 
 
+def _finite_residual(field: Field, grid: Grid1D, src: ScenarioSource, walls,
+                     iteration: int) -> float:
+    res = residual_norm_of(field, grid, src, walls)
+    if not math.isfinite(res):
+        raise ConvergenceError(f"residual {res} after {iteration} iterations")
+    return res
+
+
 def solve(field: Field, grid: Grid1D, src: ScenarioSource, walls,
           plan: CyclePlan, tol: float = 1e-8, max_iters: int = 100000,
           cfg: SmootherConfig | None = None) -> SolveResult:
     """Repeat top-level cycles until the weighted global residual of the
     homogeneous problem drops below tol.  Non-convergence returns the
-    history instead of raising."""
+    history instead of raising; a residual that is not finite, including
+    the initial one, raises :class:`ConvergenceError`."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
     diag = CycleDiagnostics()
@@ -166,13 +175,13 @@ def solve(field: Field, grid: Grid1D, src: ScenarioSource, walls,
     top = plan.levels - 1
     t0 = time.perf_counter()
     history: list[ConvergenceRecord] = []
-    res = residual_norm_of(field, grid, src, walls)
+    res = _finite_residual(field, grid, src, walls, 0)
     if res <= tol:
         return SolveResult(field, history, True, diag)
     for k in range(1, max_iters + 1):
         field = nmlm_cycle(top, field, None, plan, grid, src, walls, cfg,
                            target_mass, diag)
-        res = residual_norm_of(field, grid, src, walls)
+        res = _finite_residual(field, grid, src, walls, k)
         history.append(ConvergenceRecord(k, res, time.perf_counter() - t0))
         if res <= tol:
             return SolveResult(field, history, True, diag)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import EquilibriumDomainError
 from .indices import OrderTable
-from .states import _SIGMA_SCALE, MomentState, _derived_plan
+from .states import _SIGMA_SCALE, MomentState, _derived_plan, _enforce_admissibility
 
 __all__ = ["CollisionKind", "NuLaw", "CollisionSpec", "collision_frequency",
            "equilibrium_coeffs", "equilibrium_batch"]
@@ -178,6 +178,5 @@ def equilibrium_batch(coeffs: np.ndarray, theta: np.ndarray, spec: CollisionSpec
             f"anisotropy tensor not positive definite (eigs {np.linalg.eigvalsh(lam[b])})")
     out = _gaussian_coeffs(rho, theta, lam, table)
     # trace cleanup; exact up to roundoff already since tr(sigma) = 0
-    out[:, table.r_unit] = 0.0
-    out[:, table.r_unit2] -= out[:, table.r_unit2].sum(axis=1, keepdims=True) / 3.0
+    _enforce_admissibility(out, table)
     return out

@@ -99,21 +99,26 @@ def derived_moments(s: MomentState) -> DerivedMoments:
 
 def macros_of(coeffs: np.ndarray, u, theta: float, table: OrderTable) -> tuple[float, np.ndarray, float]:
     """Mean density, velocity and temperature carried by an arbitrary
-    coefficient array expressed about the center ``[u, theta]``."""
+    coefficient array expressed about the center ``[u, theta]``.
+
+    The one positivity check of the solver: raises :class:`PositivityError`
+    unless density and temperature are positive, so NaN is rejected too."""
     rho, momentum, energy = conservative_moments(coeffs, u, theta, table)
-    if rho <= 0.0:
-        raise PositivityError(f"non-positive density {rho}")
+    if not (rho > 0.0):
+        raise PositivityError(f"density {rho} not positive")
     u_bar = momentum / rho
     theta_bar = (energy - rho * (u_bar @ u_bar)) / (3.0 * rho)
-    if theta_bar <= 0.0:
-        raise PositivityError(f"non-positive temperature {theta_bar}")
+    if not (theta_bar > 0.0):
+        raise PositivityError(f"temperature {theta_bar} not positive")
     return rho, u_bar, theta_bar
 
 
 def _enforce_admissibility(coeffs: np.ndarray, table: OrderTable) -> None:
-    coeffs[table.r_unit] = 0.0
-    trace = coeffs[table.r_unit2].sum()
-    coeffs[table.r_unit2] -= trace / 3.0
+    """Zero the unit-index coefficients and the trace of the degree-2 diagonal
+    in place, along the last axis of one array or a ``(B, K)`` stack."""
+    coeffs[..., table.r_unit] = 0.0
+    trace = coeffs[..., table.r_unit2].sum(axis=-1, keepdims=True)
+    coeffs[..., table.r_unit2] -= trace / 3.0
 
 
 def recover_macros(raw_coeffs: np.ndarray, u0, theta0: float, M: int | None = None) -> MomentState:
@@ -121,8 +126,9 @@ def recover_macros(raw_coeffs: np.ndarray, u0, theta0: float, M: int | None = No
     temperature, returning an admissible state with the same mass, momentum
     and energy.
 
-    Raises :class:`PositivityError` when the raw array carries non-positive
-    mass or temperature (the smoother's step-size back-off catches this).
+    Raises :class:`PositivityError` when the raw array's mass or temperature
+    is not positive or not a number (the smoother's step-size back-off and
+    the rejection of a coarse correction catch this).
     """
     table = OrderTable(M) if M is not None else _table_for(len(raw_coeffs))
     rho, u_bar, theta_bar = macros_of(np.asarray(raw_coeffs, dtype=np.float64), u0, theta0, table)

@@ -3,19 +3,19 @@
 Restriction is degree truncation (a prefix slice under the graded index
 order), which keeps the expansion center and therefore the conservative
 moments.  Prolongation zero-pads the coarse correction back to the fine
-order and re-centers everything onto the corrected conservative moments.
+order, adds it in the fine basis and re-centers the sum onto its own
+conservative moments through ``recover_macros``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .basis import change_basis, conservative_moments
-from .errors import PositivityError
+from .basis import change_basis
 from .grid import Field, Grid1D, ScenarioSource
-from .indices import OrderTable, moment_count
+from .indices import moment_count
 from .residual import CellRhs, field_residuals
-from .states import MomentState
+from .states import MomentState, recover_macros
 
 __all__ = ["restrict_state", "restrict_residual", "zero_pad", "coarse_rhs",
            "prolong_correction"]
@@ -60,32 +60,18 @@ def prolong_correction(fine: MomentState, coarse_new: MomentState,
     """Apply the coarse-level increment to a fine state.
 
     The increment (new minus old, compared in the new coarse basis) is
-    zero-padded to the fine order; its conservative moments are added to the
-    fine state's to fix the corrected center, and both contributions are
-    re-expressed there and summed.
+    zero-padded to the fine order, re-expressed in the fine state's basis
+    and added; :func:`~momentmg.states.recover_macros` re-centers the sum on
+    its own conservative moments.
 
-    Raises :class:`~momentmg.errors.PositivityError` via ValueError-style
-    checks when the corrected density or temperature is non-positive; the
-    caller decides whether to skip the cell.
+    Raises :class:`~momentmg.errors.PositivityError`, from
+    ``recover_macros``, when the corrected density or temperature is not
+    positive; the caller decides whether to skip the cell.
     """
     M = fine.order
-    table = OrderTable(M)
     old_in_new = change_basis(coarse_old.coeffs, coarse_old.u, coarse_old.theta,
                               coarse_new.u, coarse_new.theta, coarse_new.table)
     delta = zero_pad(coarse_new.coeffs - old_in_new, M)
-
-    rho_f, mom_f, en_f = conservative_moments(fine.coeffs, fine.u, fine.theta, table)
-    rho_d, mom_d, en_d = conservative_moments(delta, coarse_new.u, coarse_new.theta, table)
-    rho = rho_f + rho_d
-    if rho <= 0.0:
-        raise PositivityError(f"corrected density {rho} not positive")
-    u_hat = (mom_f + mom_d) / rho
-    theta_hat = (en_f + en_d - rho * (u_hat @ u_hat)) / (3.0 * rho)
-    if theta_hat <= 0.0:
-        raise PositivityError(f"corrected temperature {theta_hat} not positive")
-
-    w = change_basis(fine.coeffs, fine.u, fine.theta, u_hat, theta_hat, table)
-    w += change_basis(delta, coarse_new.u, coarse_new.theta, u_hat, theta_hat, table)
-    w[table.r_unit] = 0.0
-    w[table.r_unit2] -= w[table.r_unit2].sum() / 3.0
-    return MomentState(M, u_hat, theta_hat, w)
+    raw = fine.coeffs + change_basis(delta, coarse_new.u, coarse_new.theta,
+                                     fine.u, fine.theta, fine.table)
+    return recover_macros(raw, fine.u, fine.theta, M)

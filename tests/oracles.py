@@ -7,6 +7,7 @@ coefficient algebra, so the main code can be checked against it.
 
 import math
 
+import mpmath
 import numpy as np
 from numpy.polynomial import hermite_e
 
@@ -103,6 +104,39 @@ def analytic_half_space_mass_flux(coeffs: np.ndarray, u, theta: float, M: int,
     return total
 
 
+def mp_half_flux_matrix(u1: float, theta: float, M: int, positive: bool,
+                        dps: int = 50) -> np.ndarray:
+    """The half-space flux matrix of ``_reference_half_flux_matrix`` at
+    ``dps`` decimal digits, through monomials instead of Hermite identities:
+    He_n He_m is multiplied out in exact integer coefficients and integrated
+    against the half-line power moments mu_p = int v^p phi, which follow by
+    parts, mu_p = +-c^(p-1) phi(c) + (p-1) mu_{p-2}."""
+    with mpmath.workdps(dps):
+        u1m, th = mpmath.mpf(u1), mpmath.mpf(theta)
+        rt = mpmath.sqrt(th)
+        c = -u1m / rt
+        sign = 1 if positive else -1
+        mu = [mpmath.ncdf(-c) if positive else mpmath.ncdf(c), sign * mpmath.npdf(c)]
+        for p in range(2, 2 * M + 2):
+            mu.append(sign * c ** (p - 1) * mpmath.npdf(c) + (p - 1) * mu[p - 2])
+        nu = [u1m * mu[p] + rt * mu[p + 1] for p in range(2 * M + 1)]
+        he = [[1], [0, 1]]  # monomial coefficients of He_n, lowest first
+        for n in range(1, M):
+            up, down = [0] + he[n], he[n - 1] + [0, 0]
+            he.append([a - n * b for a, b in zip(up, down)])
+        A = np.empty((M + 1, M + 1))
+        for n in range(M + 1):
+            for m in range(M + 1):
+                prod = [0] * (n + m + 1)
+                for i, a in enumerate(he[n]):
+                    for k, b in enumerate(he[m]):
+                        prod[i + k] += a * b
+                total = mpmath.fsum(q * nu[p] for p, q in enumerate(prod) if q)
+                A[n, m] = float(total * th ** (mpmath.mpf(n - m) / 2)
+                                / math.factorial(n))
+    return A
+
+
 def random_admissible(rng, M: int, scale: float = 0.05):
     """Random admissible state data (u, theta, coeffs) of order M."""
     from momentmg import MomentState
@@ -186,27 +220,33 @@ def reference_source(s, src):
     return out
 
 
-_WALL_CUTOFF = 12.0  # the package's integration window, in thermal units
-_WALL_NODES = 32     # and its Gauss-Legendre node count
-
-
 def _reference_half_flux_matrix(u1, theta, M, positive):
+    """A[n, m] = theta^((n-m)/2) / n! int (u1 + sqrt(theta) v) He_n He_m e^{-v^2/2}
+    dv / sqrt(2 pi) over one half-line of the scaled normal velocity v, cut at
+    c = -u1 / sqrt(theta): xi_1 > 0 when ``positive``, else xi_1 < 0.
+
+    Each product is expanded by He_n He_m = sum_k C(n,k) C(m,k) k! He_{n+m-2k}
+    and v He_j = He_{j+1} + j He_{j-1}, term by term, onto the closed-form
+    half-line integrals of :func:`hermite_lower_integrals`; the upper
+    half-line uses He_j(-v) = (-1)^j He_j(v)."""
     rt = math.sqrt(theta)
     c = -u1 / rt
-    lo, hi = (c, max(c, 0.0) + _WALL_CUTOFF) if positive else (min(c, 0.0) - _WALL_CUTOFF, c)
-    x, w = np.polynomial.legendre.leggauss(_WALL_NODES)
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    v = mid + half * x
-    he = np.empty((M + 1, len(v)))
-    he[0] = 1.0
-    he[1] = v
-    for n in range(1, M):
-        he[n + 1] = v * he[n] - n * he[n - 1]
-    g = half * w * (u1 + rt * v) * np.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi)
-    B = he @ (he * g).T
-    n_idx = np.arange(M + 1)
-    fact = np.array([math.factorial(n) for n in range(M + 1)], dtype=float)
-    return B * theta ** (0.5 * (n_idx[:, None] - n_idx[None, :])) / fact[:, None]
+    if positive:
+        I = hermite_lower_integrals(-c, 2 * M + 1) * (-1.0) ** np.arange(2 * M + 2)
+    else:
+        I = hermite_lower_integrals(c, 2 * M + 1)
+    A = np.zeros((M + 1, M + 1))
+    for n in range(M + 1):
+        for m in range(M + 1):
+            total = 0.0
+            for k in range(min(n, m) + 1):
+                j = n + m - 2 * k
+                vI = I[j + 1] + (j * I[j - 1] if j >= 1 else 0.0)
+                total += (math.comb(n, k) * math.comb(m, k) * math.factorial(k)
+                          * (u1 * I[j] + rt * vI))
+            A[n, m] = (total / math.sqrt(2.0 * math.pi)
+                       * theta ** (0.5 * (n - m)) / math.factorial(n))
+    return A
 
 
 def _reference_apply_half_flux(A, coeffs, table):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from momentmg import (BoundarySpec, CollisionKind, CollisionSpec, CyclePlan,
-                      Field, Grid1D, NuLaw, ReductionStrategy, ScenarioSource,
+from momentmg import (BoundarySpec, CollisionKind, CollisionSpec, ConvergenceError,
+                      CyclePlan, Field, Grid1D, NuLaw, ReductionStrategy, ScenarioSource,
                       SmootherConfig, nmlm_cycle, order_sequence, smooth,
                       solve, total_mass)
 from momentmg.cycle import CycleDiagnostics, residual_norm_of
@@ -141,6 +141,47 @@ def test_solve_rejects_non_finite_tolerance(tol, monkeypatch):
     field, grid, src, walls = _couette(M=4, N=8)
     with pytest.raises(ValueError, match="finite and positive"):
         solve(field, grid, src, walls, CyclePlan(orders=(2, 4)), tol=tol, max_iters=3)
+
+
+def _poison(field):
+    """Put a NaN into a shear coefficient of an interior cell."""
+    cell = field.cells[len(field) // 2]
+    cell.coeffs[cell.table.rank((1, 1, 0))] = float("nan")
+
+
+def test_solve_stops_on_non_finite_initial_residual(monkeypatch):
+    import momentmg.cycle as cycle_mod
+
+    def no_cycle(*args, **kwargs):
+        raise AssertionError("a cycle ran on a non-finite initial residual")
+
+    monkeypatch.setattr(cycle_mod, "nmlm_cycle", no_cycle)
+    field, grid, src, walls = _couette(M=4, N=8)
+    _poison(field)
+    with pytest.raises(ConvergenceError, match="after 0 iterations"):
+        solve(field, grid, src, walls, CyclePlan(orders=(2, 4)), tol=1e-8)
+
+
+def test_solve_stops_at_first_non_finite_residual(monkeypatch):
+    import momentmg.cycle as cycle_mod
+    real_cycle = cycle_mod.nmlm_cycle
+    calls = []
+
+    def poisoning_cycle(level, *args, **kwargs):
+        if level == 0:  # the coarse recursion inside a top-level cycle
+            return real_cycle(level, *args, **kwargs)
+        if calls:
+            raise AssertionError("a cycle ran after a non-finite residual")
+        calls.append(level)
+        field = real_cycle(level, *args, **kwargs)
+        _poison(field)
+        return field
+
+    monkeypatch.setattr(cycle_mod, "nmlm_cycle", poisoning_cycle)
+    field, grid, src, walls = _couette(M=4, N=8)
+    with pytest.raises(ConvergenceError, match="after 1 iterations"):
+        solve(field, grid, src, walls, CyclePlan(orders=(2, 4)), tol=1e-8)
+    assert len(calls) == 1
 
 
 @pytest.mark.slow

@@ -104,6 +104,18 @@ def test_recover_macros_raises_on_bad_mass():
         recover_macros(raw, np.zeros(3), 1.0, 3)
 
 
+def test_recover_macros_raises_on_nan_density_or_temperature():
+    t = OrderTable(3)
+    raw = np.zeros(t.count)
+    raw[0] = np.nan
+    with pytest.raises(PositivityError):
+        recover_macros(raw, np.zeros(3), 1.0, 3)
+    raw[0] = 1.0
+    raw[t.r_unit2[0]] = np.nan
+    with pytest.raises(PositivityError):
+        recover_macros(raw, np.zeros(3), 1.0, 3)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_recovered_states_are_admissible(seed):

@@ -158,3 +158,12 @@ def test_prolong_rejects_mass_annihilation():
     # increment carries rho 1 - 3 = -2: corrected density 1 - 2 < 0
     with pytest.raises(PositivityError):
         prolong_correction(s, new, old)
+
+
+def test_prolong_rejects_nan_coarse_density():
+    from momentmg.errors import PositivityError
+    s = maxwellian_state(4, 1.0, (0.0, 0.0, 0.0), 1.0)
+    old = restrict_state(s, 2)
+    new = maxwellian_state(2, float("nan"), (0.0, 0.0, 0.0), 1.0)
+    with pytest.raises(PositivityError):
+        prolong_correction(s, new, old)
