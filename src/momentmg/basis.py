@@ -22,7 +22,7 @@ import numpy as np
 from .indices import OrderTable
 
 __all__ = ["change_basis", "change_basis_batch", "max_wave_speed", "wave_speeds",
-           "hermite_top_root", "conservative_moments"]
+           "hermite_top_root"]
 
 
 def change_basis(coeffs: np.ndarray, u_from, theta_from: float,
@@ -36,27 +36,26 @@ def change_basis(coeffs: np.ndarray, u_from, theta_from: float,
     lower the degree, so the combined exponential is evaluated as a single
     terminating series.
     """
-    if theta_from <= 0.0 or theta_to <= 0.0:
+    if not (theta_from > 0.0 and theta_to > 0.0):
         raise ValueError("expansion temperatures must be positive")
     if table is None:
         table = _table_for(len(coeffs))
     w = np.asarray(coeffs, dtype=np.float64)
-    du = np.asarray(u_to, dtype=np.float64) - np.asarray(u_from, dtype=np.float64)
+    du = [b - a for a, b in zip(np.asarray(u_from, dtype=np.float64).tolist(),
+                                np.asarray(u_to, dtype=np.float64).tolist())]
     dtheta = float(theta_to) - float(theta_from)
-    if dtheta == 0.0 and not du.any():
+    if dtheta == 0.0 and du == [0.0, 0.0, 0.0]:
         return w.copy()
-    weights = np.empty(6)
-    weights[:3] = du
-    weights[3:] = 0.5 * dtheta
+    # row j - 1 holds the six shift weights of series term j, with its -1/j
+    weights = np.array(du + [0.5 * dtheta] * 3) / table._neg_j
     shift6 = table._shift6
     out = w.copy()
     term = np.zeros(table.count + 1)
-    term[:-1] = w
-    for j in range(1, table.M + 1):
-        nxt = weights @ term[shift6]
-        nxt /= -j
-        term[:-1] = nxt
-        out += nxt
+    head = term[:-1]
+    head[:] = w
+    for wj in weights:
+        np.dot(wj, term[shift6], out=head)
+        out += head
     return out
 
 
@@ -74,7 +73,7 @@ def change_basis_batch(coeffs: np.ndarray, u_from: np.ndarray, theta_from: np.nd
     """
     theta_from = np.asarray(theta_from, dtype=np.float64)
     theta_to = np.asarray(theta_to, dtype=np.float64)
-    if np.any(theta_from <= 0.0) or np.any(theta_to <= 0.0):
+    if not (np.all(theta_from > 0.0) and np.all(theta_to > 0.0)):
         raise ValueError("expansion temperatures must be positive")
     K = table.count
     weights = np.empty((6, len(theta_from)))
@@ -130,20 +129,3 @@ def max_wave_speed(state) -> float:
     """:func:`wave_speeds` of one state."""
     return float(wave_speeds(state.u[0], state.theta, state.order))
 
-
-def conservative_moments(coeffs: np.ndarray, u, theta: float,
-                         table: OrderTable | None = None) -> tuple[float, np.ndarray, float]:
-    """(mass, momentum, energy) = integrals of (1, xi, |xi|^2) against the
-    expansion.  Valid for any coefficient array, admissible or not."""
-    if table is None:
-        table = _table_for(len(coeffs))
-    rho = float(coeffs[0])
-    u = np.asarray(u, dtype=np.float64)
-    if table.M >= 1:
-        f1 = coeffs[table.r_unit]
-    else:
-        f1 = np.zeros(3)
-    momentum = rho * u + f1
-    f2 = coeffs[table.r_unit2] if table.M >= 2 else np.zeros(3)
-    energy = rho * (u @ u + 3.0 * theta) + 2.0 * (u @ f1) + 2.0 * float(f2.sum())
-    return rho, momentum, energy

@@ -1,4 +1,9 @@
-"""The recursive multi-level moment iteration and the outer steady driver."""
+"""The recursive multi-level moment iteration and the outer steady driver.
+
+The residual monitor's whole-field defect terms feed the first pass of the
+next top-level cycle, those of the coarse operator in ``coarse_rhs`` the
+first coarse pass; the FAS defects' terms feed nothing.
+"""
 
 from __future__ import annotations
 
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 from .errors import ConvergenceError, PositivityError
 from .grid import Field, Grid1D, ScenarioSource, total_mass
 from .norms import DEFAULT_NORM_CAP, global_residual_norm, local_residual_norm
-from .residual import CellRhs, field_residuals
+from .residual import CellRhs, DefectTerms, field_residuals
 from .smoother import SmootherConfig, smooth
 from .transfer import coarse_rhs, prolong_correction, restrict_state
 
@@ -105,12 +110,14 @@ def nmlm_cycle(level: int, field: Field, rhs: list[CellRhs] | None,
                plan: CyclePlan, grid: Grid1D, src: ScenarioSource, walls,
                cfg: SmootherConfig | None = None,
                target_mass: float | None = None,
-               diag: CycleDiagnostics | None = None) -> Field:
+               diag: CycleDiagnostics | None = None,
+               terms: DefectTerms | None = None) -> Field:
     """One multi-level iteration at the given level of the hierarchy.
 
     Level 0 runs s3 smoothing steps only; higher levels smooth (s1),
     transfer the full approximation plus defect to the next-lower order,
     recurse gamma times, apply the prolongated correction and smooth (s2).
+    The first pass takes over ``terms``, the whole-field terms of ``field``.
     """
     if cfg is None:
         cfg = SmootherConfig()
@@ -118,20 +125,22 @@ def nmlm_cycle(level: int, field: Field, rhs: list[CellRhs] | None,
         raise ValueError(f"field order {field.order} != plan level order {plan.orders[level]}")
     level_cfg = SmootherConfig(cfl=cfg.cfl, max_backoff=cfg.max_backoff, rhs=rhs)
     if level == 0:
-        return smooth(field, plan.s3, grid, src, walls, level_cfg, target_mass)
+        return smooth(field, plan.s3, grid, src, walls, level_cfg, target_mass, terms)
 
-    field = smooth(field, plan.s1, grid, src, walls, level_cfg, target_mass)
+    field = smooth(field, plan.s1, grid, src, walls, level_cfg, target_mass, terms)
 
     defects = field_residuals(field, grid, src, walls, rhs)
     m = plan.orders[level - 1]
     coarse = Field(m, [restrict_state(c, m) for c in field.cells])
     coarse_initial = coarse.copy()
-    rhs_coarse = coarse_rhs(field, defects, coarse, grid, src, walls)
+    rhs_coarse, coarse_terms = coarse_rhs(field, defects, coarse, grid, src, walls,
+                                          return_terms=True)
     for _ in range(plan.gamma):
         if diag is not None:
             diag.coarse_calls += 1
         coarse = nmlm_cycle(level - 1, coarse, rhs_coarse, plan, grid, src,
-                            walls, cfg, target_mass, diag)
+                            walls, cfg, target_mass, diag, coarse_terms)
+        coarse_terms = None
     for i, cell in enumerate(field.cells):
         try:
             field.cells[i] = prolong_correction(cell, coarse.cells[i],
@@ -145,20 +154,23 @@ def nmlm_cycle(level: int, field: Field, rhs: list[CellRhs] | None,
 
 def residual_norm_of(field: Field, grid: Grid1D, src: ScenarioSource, walls,
                      rhs: list[CellRhs] | None = None,
-                     p_cap: int = DEFAULT_NORM_CAP) -> float:
-    defects = field_residuals(field, grid, src, walls, rhs)
+                     p_cap: int = DEFAULT_NORM_CAP, return_terms: bool = False):
+    """Weighted global residual norm of a frozen field; with
+    ``return_terms`` also the whole-field defect terms it was read from."""
+    defects, terms = field_residuals(field, grid, src, walls, rhs, return_terms=True)
     table = field.cells[0].table
     locals_ = [local_residual_norm(d, c.theta, table, p_cap)
                for d, c in zip(defects, field.cells)]
-    return global_residual_norm(locals_, grid.dx)
+    res = global_residual_norm(locals_, grid.dx)
+    return (res, terms) if return_terms else res
 
 
 def _finite_residual(field: Field, grid: Grid1D, src: ScenarioSource, walls,
-                     iteration: int) -> float:
-    res = residual_norm_of(field, grid, src, walls)
+                     iteration: int) -> tuple[float, DefectTerms]:
+    res, terms = residual_norm_of(field, grid, src, walls, return_terms=True)
     if not math.isfinite(res):
         raise ConvergenceError(f"residual {res} after {iteration} iterations")
-    return res
+    return res, terms
 
 
 def solve(field: Field, grid: Grid1D, src: ScenarioSource, walls,
@@ -175,13 +187,13 @@ def solve(field: Field, grid: Grid1D, src: ScenarioSource, walls,
     top = plan.levels - 1
     t0 = time.perf_counter()
     history: list[ConvergenceRecord] = []
-    res = _finite_residual(field, grid, src, walls, 0)
+    res, terms = _finite_residual(field, grid, src, walls, 0)
     if res <= tol:
         return SolveResult(field, history, True, diag)
     for k in range(1, max_iters + 1):
         field = nmlm_cycle(top, field, None, plan, grid, src, walls, cfg,
-                           target_mass, diag)
-        res = _finite_residual(field, grid, src, walls, k)
+                           target_mass, diag, terms)
+        res, terms = _finite_residual(field, grid, src, walls, k)
         history.append(ConvergenceRecord(k, res, time.perf_counter() - t0))
         if res <= tol:
             return SolveResult(field, history, True, diag)

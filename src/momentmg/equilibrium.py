@@ -17,12 +17,13 @@ own center are closed-form:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import EquilibriumDomainError
+from .errors import ConfigError, EquilibriumDomainError
 from .indices import OrderTable
 from .states import _SIGMA_SCALE, MomentState, _derived_plan, _enforce_admissibility
 
@@ -50,10 +51,12 @@ class CollisionSpec:
     w: float = 0.5  # viscosity index, power-law only
 
     def __post_init__(self):
-        if self.prandtl <= 0.0:
-            raise ValueError("Prandtl number must be positive")
-        if self.kn <= 0.0:
-            raise ValueError("Knudsen number must be positive")
+        if not 0.0 < self.prandtl < math.inf:
+            raise ConfigError("Prandtl number must be finite and positive")
+        if not 0.0 < self.kn < math.inf:
+            raise ConfigError("Knudsen number must be finite and positive")
+        if not math.isfinite(self.w):
+            raise ConfigError("viscosity index must be finite")
 
 
 def collision_frequency(spec: CollisionSpec, rho, theta):

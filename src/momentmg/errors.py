@@ -1,6 +1,10 @@
 """Exception types shared across the solver."""
 
 
+class ConfigError(ValueError):
+    """A malformed, non-finite or physically inconsistent configuration."""
+
+
 class MomentError(Exception):
     """Base class for solver-specific failures."""
 

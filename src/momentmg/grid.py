@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import CollisionSpec
+from .errors import ConfigError
 from .states import MomentState, maxwellian_state
 
 __all__ = ["Grid1D", "Field", "BoundarySpec", "ScenarioSource",
@@ -78,10 +79,12 @@ class BoundarySpec:
     chi: float = 1.0
 
     def __post_init__(self):
-        if self.theta_wall <= 0.0:
-            raise ValueError("wall temperature must be positive")
+        if not 0.0 < self.theta_wall < np.inf:
+            raise ConfigError("wall temperature must be finite and positive")
         if not 0.0 <= self.chi <= 1.0:
-            raise ValueError("accommodation coefficient must lie in [0, 1]")
+            raise ConfigError("accommodation coefficient must lie in [0, 1]")
+        if not np.all(np.isfinite(self.u_wall)):
+            raise ConfigError("wall velocity must be finite")
 
 
 @dataclass(frozen=True)

@@ -80,6 +80,7 @@ class OrderTable:
         self.r_unit2 = np.array([self._rank_of[(2, 0, 0)],
                                  self._rank_of[(0, 2, 0)],
                                  self._rank_of[(0, 0, 2)]]) if M >= 2 else np.array([], dtype=np.int64)
+        self.r_macro = np.r_[0, self.r_unit, self.r_unit2]  # what macros_of reads
 
         # clipped-index + mask pairs let the shift maps run as one fancy
         # gather and a multiply instead of np.where
@@ -90,9 +91,11 @@ class OrderTable:
         # index ``count``, a zero appended to the gathered array
         self._shift6 = np.vstack([self.minus, self.minus2])
         self._shift6[self._shift6 < 0] = self.count
+        self._neg_j = -np.arange(1.0, M + 1.0)[:, None]  # the series' divisors
 
         for arr in (self.alphas, self.degree, self.degree_offset,
-                    self.minus, self.minus2, self.plus, self.factorial, self._shift6):
+                    self.minus, self.minus2, self.plus, self.factorial, self._shift6,
+                    self.r_macro, self._neg_j):
             arr.setflags(write=False)
 
     def rank(self, alpha) -> int:

@@ -9,17 +9,20 @@ wave speed, its wall faces, and the Lax-Friedrichs faces against a chosen
 set of neighbours, re-centred in one batched series.  :func:`cell_defect`
 then only reads the cell's row and evaluates the faces left open.
 
-A frozen field (the residual monitor, the FAS defects) closes every face
-at once.  A Gauss-Seidel pass of the smoother freezes, at the start of the
-pass, what cannot change before the pass reaches a cell: the source, the
-right-hand side, the wave speed, the wall faces and the face against the
-neighbour relaxed after the cell.  The face against the neighbour already
-relaxed in this pass is the one left open.
+A frozen field (the residual monitor, the FAS defects, the coarse operator
+of ``coarse_rhs``) closes every face at once.  A Gauss-Seidel pass of the
+smoother freezes, at the start of the pass, what cannot change before the
+pass reaches a cell: the source, the right-hand side, the wave speed, the
+wall faces and the face against the neighbour relaxed after the cell.  The
+face against the neighbour already relaxed in this pass is the one left
+open.  Those are a subset of the whole field's, so a pass on a field whose
+whole-field terms were just built takes them over (:func:`reopen`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,7 +33,7 @@ from .grid import Field, Grid1D, ScenarioSource
 from .indices import OrderTable
 from .walls import Side, wall_flux
 
-__all__ = ["CellRhs", "DefectTerms", "source_terms", "defect_terms",
+__all__ = ["CellRhs", "DefectTerms", "source_terms", "defect_terms", "reopen",
            "cell_defect", "field_residuals"]
 
 
@@ -78,6 +81,30 @@ def source_terms(coeffs: np.ndarray, theta: np.ndarray, src: ScenarioSource,
     return out
 
 
+@lru_cache(maxsize=None)
+def _face_plan(n: int, cells: tuple[int, ...], has_walls: bool, sweep: int):
+    """The face rule of :func:`defect_terms`: cell rows, wall faces as (row,
+    side, cell), the other closed faces as row, side and neighbour arrays,
+    and the ``(2, B)`` closed mask (side 0 left, 1 right)."""
+    wall_faces, faces = [], []
+    for k, i in enumerate(cells):
+        for side, step in ((0, -1), (1, 1)):
+            j = (i + step) % n
+            if has_walls and i + step in (-1, n):
+                wall_faces.append((k, side, i))
+            elif sweep == 0 or (j - i) * sweep > 0:
+                faces.append((k, side, j))
+    faces = np.array(faces, dtype=np.int64).reshape(-1, 3)
+    closed = np.zeros((2, len(cells)), dtype=bool)
+    closed[faces[:, 1], faces[:, 0]] = True
+    for k, side, _ in wall_faces:
+        closed[side, k] = True
+    for arr in (faces, closed):
+        arr.setflags(write=False)
+    return ({i: k for k, i in enumerate(cells)}, np.array(cells), tuple(wall_faces),
+            *faces.T, closed)
+
+
 def defect_terms(field: Field, grid: Grid1D, src: ScenarioSource, walls,
                  rhs=None, cells=None, sweep: int = 0) -> DefectTerms:
     """Defect terms of ``cells`` (default: all) against the field as it is.
@@ -89,10 +116,10 @@ def defect_terms(field: Field, grid: Grid1D, src: ScenarioSource, walls,
     faces.  Domain ends use the wall flux, or periodic wrap-around when
     ``walls`` is None (test hook).
     """
-    n = len(field)
     table = OrderTable(field.order)
-    cells = list(range(n)) if cells is None else list(cells)
-    idx = np.array(cells)
+    row, idx, wall_faces, rows, sides, nbrs, closed = _face_plan(
+        len(field), tuple(range(len(field)) if cells is None else cells),
+        walls is not None, sweep)
     C = np.array([c.coeffs for c in field.cells])
     U = np.array([c.u for c in field.cells])
     T = np.array([c.theta for c in field.cells])
@@ -102,27 +129,14 @@ def defect_terms(field: Field, grid: Grid1D, src: ScenarioSource, walls,
     lam = lam_all[idx]
     source = source_terms(own_C, own_T, src, table)
 
-    B, K = len(cells), table.count
-    flux = np.zeros((2, B, K))  # [0] left faces, [1] right faces
-    closed = np.zeros((2, B), dtype=bool)
-    rows, sides, nbrs = [], [], []
-    for k, i in enumerate(cells):
-        for side, step in ((0, -1), (1, 1)):
-            if walls is not None and i + step in (-1, n):
-                flux[side, k] = wall_flux(field.cells[i], walls[side],
-                                          Side.LEFT if side == 0 else Side.RIGHT)
-                closed[side, k] = True
-                continue
-            j = (i + step) % n
-            if sweep == 0 or (j - i) * sweep > 0:
-                rows.append(k)
-                sides.append(side)
-                nbrs.append(j)
-    rows, sides, nbrs = (np.array(a, dtype=np.int64) for a in (rows, sides, nbrs))
+    flux = np.zeros((2, len(idx), table.count))  # [0] left faces, [1] right faces
+    for k, side, i in wall_faces:
+        flux[side, k] = wall_flux(field.cells[i], walls[side],
+                                  Side.LEFT if side == 0 else Side.RIGHT)
 
     # one batched series re-centres the pinned right-hand sides and the
     # neighbours of the closed faces onto their cells' bases
-    pinned = [] if rhs is None else [rhs[i] for i in cells]
+    pinned = [] if rhs is None else [rhs[i] for i in row]
     to = np.concatenate([np.arange(len(pinned)), rows])
     moved = change_basis_batch(np.vstack([r.coeffs for r in pinned] + [C[nbrs]]),
                                np.vstack([r.u for r in pinned] + [U[nbrs]]),
@@ -136,16 +150,23 @@ def defect_terms(field: Field, grid: Grid1D, src: ScenarioSource, walls,
         flux[sides, rows] = lf_flux(np.where(left, w_nb, w_own),
                                     np.where(left, w_own, w_nb), lam_face,
                                     own_U[rows, :1], own_T[rows, None], table)
-        closed[sides, rows] = True
 
-    return DefectTerms({i: k for k, i in enumerate(cells)}, grid.dx[idx], lam,
-                       source, rhs_rows, flux[0], flux[1], closed[0], closed[1])
+    return DefectTerms(row, grid.dx[idx], lam, source, rhs_rows,
+                       flux[0], flux[1], closed[0], closed[1])
+
+
+def reopen(terms: DefectTerms, walls, sweep: int) -> DefectTerms:
+    """The terms of a Gauss-Seidel pass (``sweep = +1`` / ``-1``) from the
+    ``sweep = 0`` terms of all cells of the same, unchanged field: every
+    term the pass freezes is there bit for bit, so only faces are re-opened."""
+    closed = _face_plan(len(terms.row), tuple(terms.row), walls is not None, sweep)[-1]
+    return replace(terms, closed_l=closed[0], closed_r=closed[1])
 
 
 def _open_face(field: Field, i: int, j: int, lam_i: float, j_is_right: bool) -> np.ndarray:
     """Lax-Friedrichs flux between cell i and its neighbour j in i's basis."""
     this, nb = field.cells[i], field.cells[j]
-    table = this.table
+    table = OrderTable(field.order)
     w_nb = change_basis(nb.coeffs, nb.u, nb.theta, this.u, this.theta, table)
     lam = max(lam_i, max_wave_speed(nb))
     wl, wr = (this.coeffs, w_nb) if j_is_right else (w_nb, this.coeffs)
@@ -167,7 +188,7 @@ def cell_defect(field: Field, i: int, grid: Grid1D, src: ScenarioSource,
                              None if rhs_i is None else {i: rhs_i}, cells=[i])
     k = terms.row[i]
     n = len(field)
-    lam = terms.lam[k]
+    lam = float(terms.lam[k])
     flux_r = (terms.flux_r[k] if terms.closed_r[k]
               else _open_face(field, i, (i + 1) % n, lam, True))
     flux_l = (terms.flux_l[k] if terms.closed_l[k]
@@ -179,8 +200,10 @@ def cell_defect(field: Field, i: int, grid: Grid1D, src: ScenarioSource,
 
 
 def field_residuals(field: Field, grid: Grid1D, src: ScenarioSource, walls,
-                    rhs: list[CellRhs] | None = None) -> list[np.ndarray]:
-    """Defect arrays r_i - R_i for every cell of a frozen field."""
+                    rhs: list[CellRhs] | None = None, return_terms: bool = False):
+    """Defect arrays r_i - R_i for every cell of a frozen field; with
+    ``return_terms`` also the :class:`DefectTerms` they were read from."""
     terms = defect_terms(field, grid, src, walls, rhs)
-    return [cell_defect(field, i, grid, src, walls, terms=terms)
-            for i in range(len(field))]
+    defects = [cell_defect(field, i, grid, src, walls, terms=terms)
+               for i in range(len(field))]
+    return (defects, terms) if return_terms else defects

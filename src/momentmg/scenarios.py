@@ -17,15 +17,12 @@ from importlib import resources
 
 from .cycle import CyclePlan, ReductionStrategy, order_sequence
 from .equilibrium import CollisionKind, CollisionSpec, NuLaw
+from .errors import ConfigError
 from .grid import BoundarySpec, Field, Grid1D, ScenarioSource
 
 __all__ = ["ScenarioKind", "ScenarioConfig", "couette_config",
            "poiseuille_config", "parse_config", "load_config",
            "preset_names", "preset_path", "ConfigError"]
-
-
-class ConfigError(ValueError):
-    """Raised for malformed or physically inconsistent configurations."""
 
 
 class ScenarioKind(enum.Enum):
@@ -58,10 +55,14 @@ class ScenarioConfig:
     max_iters: int = 100000
 
     def __post_init__(self):
-        if self.L <= 0.0 or self.N < 1 or self.M < 2:
-            raise ConfigError("need L > 0, N >= 1, M >= 2")
-        if self.rho0 <= 0.0 or self.theta0 <= 0.0:
-            raise ConfigError("initial density and temperature must be positive")
+        if not 0.0 < self.L < math.inf or self.N < 1 or self.M < 2:
+            raise ConfigError("need finite L > 0, N >= 1, M >= 2")
+        if not (0.0 < self.rho0 < math.inf and 0.0 < self.theta0 < math.inf):
+            raise ConfigError("initial density and temperature must be finite and positive")
+        if not all(map(math.isfinite, (*self.u0, *self.force))):
+            raise ConfigError("initial velocity and force must be finite")
+        if not 0.0 < self.cfl < 1.0:
+            raise ConfigError("CFL factor must lie strictly in (0, 1)")
         if self.levels < 1:
             raise ConfigError("level count must be >= 1")
         if not (math.isfinite(self.tol) and self.tol > 0):

@@ -5,10 +5,12 @@ Each directional pass starts by building, for every cell at once, the
 defect terms that cannot change before the pass reaches the cell
 (:func:`~momentmg.residual.defect_terms` with ``sweep = +1`` or ``-1``):
 the source, the re-centred right-hand side, the wave speed, the wall faces
-and the face against the neighbour relaxed after the cell.  The per-cell
-step then re-centres only the neighbour already relaxed in this pass and
-evaluates that one face, so each step sees the freshest neighbour values
-exactly as a cell-by-cell evaluation would.
+and the face against the neighbour relaxed after the cell; a first pass
+handed the monitor's or ``coarse_rhs``'s whole-field terms only re-opens
+faces (:func:`~momentmg.residual.reopen`).  The per-cell step then
+re-centres only the neighbour already relaxed in this pass and evaluates
+that one face, so each step sees the freshest neighbour values exactly as
+a cell-by-cell evaluation would.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import ConvergenceError, PositivityError
 from .grid import Field, Grid1D, ScenarioSource, mass_correction
-from .residual import CellRhs, DefectTerms, cell_defect, defect_terms
+from .residual import CellRhs, DefectTerms, cell_defect, defect_terms, reopen
 from .states import MomentState, recover_macros
 
 __all__ = ["SmootherConfig", "richardson_step", "sgs_sweep", "smooth"]
@@ -52,7 +54,7 @@ def richardson_step(i: int, field: Field, grid: Grid1D, src: ScenarioSource,
         terms = defect_terms(field, grid, src, walls, rhs, cells=[i])
     defect = cell_defect(field, i, grid, src, walls, terms=terms)
     k = terms.row[i]
-    omega = cfg.cfl * terms.dx[k] / terms.lam[k]
+    omega = cfg.cfl * float(terms.dx[k]) / float(terms.lam[k])
     for _ in range(cfg.max_backoff + 1):
         try:
             return recover_macros(this.coeffs + omega * defect, this.u, this.theta, this.order)
@@ -64,22 +66,29 @@ def richardson_step(i: int, field: Field, grid: Grid1D, src: ScenarioSource,
 
 
 def sgs_sweep(field: Field, grid: Grid1D, src: ScenarioSource, walls,
-              cfg: SmootherConfig, target_mass: float | None = None) -> Field:
+              cfg: SmootherConfig, target_mass: float | None = None,
+              terms: DefectTerms | None = None) -> Field:
     """Forward then backward Gauss-Seidel pass, updating cells in place so
     each local step sees the freshest neighbor values; the total-mass
-    correction is applied once at the end of the sweep."""
+    correction is applied once at the end of the sweep.  The forward pass
+    takes over ``terms``, the whole-field terms of ``field`` with ``cfg.rhs``."""
     n = len(field)
     for sweep, order in ((1, range(n)), (-1, range(n - 1, -1, -1))):
-        terms = defect_terms(field, grid, src, walls, cfg.rhs, sweep=sweep)
+        terms = (defect_terms(field, grid, src, walls, cfg.rhs, sweep=sweep)
+                 if terms is None else reopen(terms, walls, sweep))
         for i in order:
             field.cells[i] = richardson_step(i, field, grid, src, walls, cfg, terms)
+        terms = None
     if target_mass is not None:
         mass_correction(field, grid, target_mass)
     return field
 
 
 def smooth(field: Field, steps: int, grid: Grid1D, src: ScenarioSource, walls,
-           cfg: SmootherConfig, target_mass: float | None = None) -> Field:
+           cfg: SmootherConfig, target_mass: float | None = None,
+           terms: DefectTerms | None = None) -> Field:
+    """``steps`` SGS sweeps; the first takes over ``terms`` (:func:`sgs_sweep`)."""
     for _ in range(steps):
-        field = sgs_sweep(field, grid, src, walls, cfg, target_mass)
+        field = sgs_sweep(field, grid, src, walls, cfg, target_mass, terms)
+        terms = None
     return field

@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import _table_for, change_basis, conservative_moments
+from .basis import _table_for, change_basis
 from .errors import PositivityError
 from .indices import OrderTable, moment_count
 
@@ -99,18 +99,22 @@ def derived_moments(s: MomentState) -> DerivedMoments:
 
 def macros_of(coeffs: np.ndarray, u, theta: float, table: OrderTable) -> tuple[float, np.ndarray, float]:
     """Mean density, velocity and temperature carried by an arbitrary
-    coefficient array expressed about the center ``[u, theta]``.
+    coefficient array expressed about the center ``[u, theta]``; reads f_0,
+    the unit-index and the degree-2 diagonal coefficients.
 
     The one positivity check of the solver: raises :class:`PositivityError`
     unless density and temperature are positive, so NaN is rejected too."""
-    rho, momentum, energy = conservative_moments(coeffs, u, theta, table)
+    rho, f1, f2, f3, d1, d2, d3 = coeffs[table.r_macro].tolist()
     if not (rho > 0.0):
         raise PositivityError(f"density {rho} not positive")
-    u_bar = momentum / rho
-    theta_bar = (energy - rho * (u_bar @ u_bar)) / (3.0 * rho)
+    u1, u2, u3 = np.asarray(u, dtype=np.float64).tolist()
+    energy = (rho * (u1 * u1 + u2 * u2 + u3 * u3 + 3.0 * float(theta))
+              + 2.0 * (u1 * f1 + u2 * f2 + u3 * f3) + 2.0 * (d1 + d2 + d3))
+    v1, v2, v3 = (rho * u1 + f1) / rho, (rho * u2 + f2) / rho, (rho * u3 + f3) / rho
+    theta_bar = (energy - rho * (v1 * v1 + v2 * v2 + v3 * v3)) / (3.0 * rho)
     if not (theta_bar > 0.0):
         raise PositivityError(f"temperature {theta_bar} not positive")
-    return rho, u_bar, theta_bar
+    return rho, np.array([v1, v2, v3]), theta_bar
 
 
 def _enforce_admissibility(coeffs: np.ndarray, table: OrderTable) -> None:

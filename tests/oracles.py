@@ -137,6 +137,49 @@ def mp_half_flux_matrix(u1: float, theta: float, M: int, positive: bool,
     return A
 
 
+def conservative_moments(coeffs: np.ndarray, u, theta: float,
+                         table: OrderTable) -> tuple[float, np.ndarray, float]:
+    """(mass, momentum, energy) = integrals of (1, xi, |xi|^2) against the
+    expansion, as arrays: ``rho``, ``rho u + f_{e_d}`` and
+    ``rho (|u|^2 + 3 theta) + 2 u . f_{e_d} + 2 sum_d f_{2 e_d}``.  Valid for
+    any coefficient array, admissible or not."""
+    rho = float(coeffs[0])
+    u = np.asarray(u, dtype=np.float64)
+    f1 = coeffs[table.r_unit]
+    energy = (rho * (u @ u + 3.0 * theta) + 2.0 * (u @ f1)
+              + 2.0 * float(coeffs[table.r_unit2].sum()))
+    return rho, rho * u + f1, energy
+
+
+def reference_change_basis(coeffs: np.ndarray, u_from, theta_from: float,
+                           u_to, theta_to: float, M: int) -> np.ndarray:
+    """Re-centring as the per-axis convolution it is, in extended precision.
+
+    Moving the centre by (du, dtheta) multiplies the expansion by
+    prod_d exp(a_d S_d + b S_d^2), S_d the raising shift by e_d,
+    a = u_from - u_to, b = (theta_from - theta_to) / 2.  The Taylor
+    coefficients of exp(a x + b x^2) are written out as the double sum
+    sum_m a^(k-2m) b^m / ((k-2m)! m!), and the three lower-triangular
+    Toeplitz matrices they form act axis by axis on the coefficients laid
+    out on the full (M+1)^3 cube; degrees above M never feed lower ones, so
+    the truncation is read off at the end."""
+    ld = np.longdouble
+    table = OrderTable(M)
+    a = np.asarray(u_from, dtype=ld) - np.asarray(u_to, dtype=ld)
+    b = (ld(theta_from) - ld(theta_to)) / 2
+    cube = np.zeros((M + 1,) * 3, dtype=ld)
+    al = table.alphas
+    cube[al[:, 0], al[:, 1], al[:, 2]] = np.asarray(coeffs, dtype=ld)
+    for d in range(3):
+        c = [sum(a[d] ** (k - 2 * m) * b ** m / ld(math.factorial(k - 2 * m) * math.factorial(m))
+                 for m in range(k // 2 + 1)) for k in range(M + 1)]
+        toeplitz = np.zeros((M + 1, M + 1), dtype=ld)
+        for i in range(M + 1):
+            toeplitz[i, :i + 1] = c[i::-1]
+        cube = np.moveaxis(np.tensordot(toeplitz, cube, axes=([1], [d])), 0, d)
+    return cube[al[:, 0], al[:, 1], al[:, 2]]
+
+
 def random_admissible(rng, M: int, scale: float = 0.05):
     """Random admissible state data (u, theta, coeffs) of order M."""
     from momentmg import MomentState

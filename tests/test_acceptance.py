@@ -15,12 +15,12 @@ from momentmg import (CollisionKind, CollisionSpec, MomentState,
                       ReductionStrategy, couette_config, derived_moments,
                       equilibrium_coeffs, max_wave_speed, moment_count,
                       nmlm_cycle, poiseuille_config, solve, total_mass)
-from momentmg.basis import change_basis, conservative_moments
+from momentmg.basis import change_basis
 from momentmg.cycle import residual_norm_of
 from momentmg.indices import OrderTable
 from momentmg.transfer import prolong_correction, restrict_state, zero_pad
 
-from oracles import quadrature_moments, random_admissible
+from oracles import conservative_moments, quadrature_moments, random_admissible
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from momentmg import (OrderTable, change_basis, max_wave_speed,
                       MomentState, moment_count)
-from momentmg.basis import conservative_moments, hermite_top_root
+from momentmg.basis import change_basis_batch, hermite_top_root
 
-from oracles import quadrature_moments, random_admissible
+from oracles import (conservative_moments, quadrature_moments, random_admissible,
+                     reference_change_basis)
 
 
 def test_identity_center_is_identity():
@@ -109,3 +110,29 @@ def test_change_basis_rejects_bad_temperature():
     w = np.zeros(t.count)
     with pytest.raises(ValueError):
         change_basis(w, np.zeros(3), 1.0, np.zeros(3), -1.0, t)
+
+
+@pytest.mark.parametrize("M", range(2, 27))
+def test_change_basis_matches_convolution_reference(M):
+    rng = np.random.default_rng(1000 + M)
+    t = OrderTable(M)
+    for _ in range(3):
+        w = rng.normal(size=t.count)
+        u1, th1 = rng.normal(scale=0.5, size=3), 0.5 + rng.random()
+        u2, th2 = rng.normal(scale=0.5, size=3), 0.5 + rng.random()
+        ref = reference_change_basis(w, u1, th1, u2, th2, M)
+        got = change_basis(w, u1, th1, u2, th2, t)
+        assert float(np.max(np.abs(got - ref)) / np.max(np.abs(ref))) <= 1e-14
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([float("nan"), -float("inf"), 0.0, -1.0]), st.booleans())
+def test_change_basis_rejects_non_positive_or_nan_temperature(bad, at_target):
+    t = OrderTable(3)
+    w = np.zeros(t.count)
+    thetas = (1.0, bad) if at_target else (bad, 1.0)
+    with pytest.raises(ValueError):
+        change_basis(w, np.zeros(3), thetas[0], np.zeros(3), thetas[1], t)
+    with pytest.raises(ValueError):
+        change_basis_batch(w[None], np.zeros((1, 3)), [thetas[0]],
+                           np.zeros((1, 3)), [thetas[1]], t)

@@ -40,6 +40,16 @@ def test_non_finite_tolerance_is_bad_config(tmp_path, capsys):
     assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
 
+@pytest.mark.parametrize("line", ["kn = nan", "theta0 = inf", "theta_wall_left = nan",
+                                  "u_wall_right = nan 0.0"])
+def test_non_finite_config_value_is_bad_config(tmp_path, capsys, line):
+    bad = tmp_path / "non-finite.cfg"
+    bad.write_text(f"[scenario]\nkind = couette\nN = 8\n{line}\n")
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "a")]) == EXIT_BAD_CONFIG
+    assert not (tmp_path / "a").exists()
+    assert "error:" in capsys.readouterr().err
+
+
 def test_no_convergence_exit_code(tmp_path):
     # one cycle cannot reach 1e-8 from equilibrium: partial outputs kept
     cfg = couette_config(N=8, levels=2, max_iters=1)

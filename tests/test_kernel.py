@@ -7,9 +7,10 @@ import pytest
 
 from momentmg import (BoundarySpec, CollisionKind, CollisionSpec, Field, Grid1D,
                       OrderTable, ScenarioSource, SmootherConfig, change_basis,
-                      sgs_sweep)
+                      sgs_sweep, smooth)
 from momentmg.basis import change_basis_batch
-from momentmg.residual import CellRhs, defect_terms, field_residuals
+from momentmg.residual import CellRhs, defect_terms, field_residuals, reopen
+from momentmg.transfer import coarse_rhs, restrict_state
 from momentmg.walls import Side, wall_flux
 
 from oracles import (random_admissible, reference_cell_defect, reference_sgs_sweep,
@@ -134,3 +135,48 @@ def test_wall_flux_matches_chain_loop(M, chi):
         s = _state(rng, M)
         for side in (Side.LEFT, Side.RIGHT):
             assert _rel(wall_flux(s, wall, side), reference_wall_flux(s, wall, side)) <= TOL
+
+
+REUSE_CASES = list(itertools.product((2, 4, 10), WALLS, (False, True)))
+
+
+def _same_fields(a, b):
+    return all(np.array_equal(x.coeffs, y.coeffs) and np.array_equal(x.u, y.u)
+               and x.theta == y.theta for x, y in zip(a.cells, b.cells))
+
+
+@pytest.mark.parametrize("M,walls,with_rhs", REUSE_CASES)
+def test_reopened_whole_field_terms_are_the_pass_terms(M, walls, with_rhs):
+    field, grid, src, walls, rhs = _setup(M, "esbgk", walls, "force", with_rhs, seed=300 + M)
+    whole = defect_terms(field, grid, src, walls, rhs)
+    for sweep in (1, -1):
+        got = reopen(whole, walls, sweep)
+        expect = defect_terms(field, grid, src, walls, rhs, sweep=sweep)
+        assert got.row == expect.row
+        for name in ("dx", "lam", "source", "closed_l", "closed_r"):
+            assert np.array_equal(getattr(got, name), getattr(expect, name))
+        assert (got.rhs is None) == (expect.rhs is None)
+        if got.rhs is not None:
+            assert np.array_equal(got.rhs, expect.rhs)
+        assert np.array_equal(got.flux_l[got.closed_l], expect.flux_l[expect.closed_l])
+        assert np.array_equal(got.flux_r[got.closed_r], expect.flux_r[expect.closed_r])
+
+
+@pytest.mark.parametrize("M,walls,coarse", REUSE_CASES)
+def test_pass_from_handed_terms_equals_rebuilt_pass(M, walls, coarse):
+    """Two sweeps started from the monitor's terms (no rhs) or from those of
+    ``coarse_rhs`` (the restricted field with its FAS right-hand side) equal,
+    bit for bit, two sweeps that build every pass's terms themselves."""
+    if coarse:
+        fine, grid, src, walls, _rhs = _setup(M + 2, "esbgk", walls, "force", False, seed=400 + M)
+        field = Field(M, [restrict_state(c, M) for c in fine.cells])
+        rhs, terms = coarse_rhs(fine, field_residuals(fine, grid, src, walls), field,
+                                grid, src, walls, return_terms=True)
+    else:
+        field, grid, src, walls, rhs = _setup(M, "esbgk", walls, "force", False, seed=400 + M)
+        _defects, terms = field_residuals(field, grid, src, walls, return_terms=True)
+    cfg = SmootherConfig(cfl=0.9, rhs=rhs)
+    mass = 1.05 * float(sum(c.rho * dx for c, dx in zip(field.cells, grid.dx)))
+    got = smooth(field.copy(), 2, grid, src, walls, cfg, mass, terms)
+    expect = smooth(field.copy(), 2, grid, src, walls, cfg, mass)
+    assert _same_fields(got, expect)

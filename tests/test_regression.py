@@ -4,12 +4,15 @@ Couette flow, N=16, M=4, two levels (orders 2 and 4, minus-two), solved to
 the preset tolerance from the uniform equilibrium start.  The iteration
 count and the converged density, tangential velocity and temperature
 profiles were recorded from the solver before its defect terms were
-batched; a change that only claims speed must reproduce them.
+batched; a change that only claims speed must reproduce them.  The residual
+history was recorded from the solver before whole-field defect terms were
+handed to the next smoothing pass.
 """
 
 import numpy as np
 
 from momentmg import ReductionStrategy, SmootherConfig, couette_config, derived_moments, solve
+from momentmg import cycle as cycle_mod
 
 K_EXPECTED = 13
 RHO = [
@@ -37,16 +40,52 @@ THETA = [
     1.064077568126393,
 ]
 PROFILE_TOL = 1e-10
+HISTORY = [
+    0.04557431325683984, 0.011417400362973557, 0.002960998718433413,
+    0.0008192826636725666, 0.00022234434729154147, 6.142399366268001e-05,
+    1.6864633645389586e-05, 4.655102293965055e-06, 1.2817748968519148e-06,
+    3.5379273058962953e-07, 9.751620785981818e-08, 2.6916814692423126e-08,
+    7.4227118670682884e-09,
+]
+# rounding-level changes of the kernels move a residual by ~1e-16
+HISTORY_TOL = 1e-13
+
+
+def _solve_case():
+    cfg = couette_config(N=16, M=4, levels=2, strategy=ReductionStrategy.MINUS_TWO)
+    field, grid, src, walls = cfg.build()
+    return solve(field, grid, src, walls, cfg.plan(), tol=cfg.tol, max_iters=100,
+                 cfg=SmootherConfig(cfl=cfg.cfl))
 
 
 def test_couette_two_level_iterations_and_profiles():
-    cfg = couette_config(N=16, M=4, levels=2, strategy=ReductionStrategy.MINUS_TWO)
-    field, grid, src, walls = cfg.build()
-    result = solve(field, grid, src, walls, cfg.plan(), tol=cfg.tol, max_iters=100,
-                   cfg=SmootherConfig(cfl=cfg.cfl))
+    result = _solve_case()
     assert result.converged
     assert len(result.history) == K_EXPECTED
     macros = [derived_moments(c) for c in result.field.cells]
     np.testing.assert_allclose([m.rho for m in macros], RHO, rtol=0, atol=PROFILE_TOL)
     np.testing.assert_allclose([m.u[1] for m in macros], U2, rtol=0, atol=PROFILE_TOL)
     np.testing.assert_allclose([m.theta for m in macros], THETA, rtol=0, atol=PROFILE_TOL)
+    np.testing.assert_allclose([h.residual for h in result.history], HISTORY,
+                               rtol=0, atol=HISTORY_TOL)
+
+
+def test_handed_defect_terms_change_no_bit(monkeypatch):
+    """The same solve with every cycle building its own first-pass terms
+    (the monitor's and the coarse operator's terms dropped) gives the same
+    history and field bit for bit."""
+    handed = _solve_case()
+    real_cycle = cycle_mod.nmlm_cycle
+    dropped = []
+
+    def rebuilding_cycle(*args):
+        dropped.append(args[10] is not None)
+        return real_cycle(*args[:10])
+
+    monkeypatch.setattr(cycle_mod, "nmlm_cycle", rebuilding_cycle)
+    rebuilt = _solve_case()
+    assert all(dropped) and len(dropped) == 2 * len(rebuilt.history)
+    assert [h.residual for h in handed.history] == [h.residual for h in rebuilt.history]
+    for a, b in zip(handed.field.cells, rebuilt.field.cells):
+        assert np.array_equal(a.coeffs, b.coeffs) and np.array_equal(a.u, b.u)
+        assert a.theta == b.theta

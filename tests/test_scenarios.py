@@ -1,9 +1,10 @@
 """Benchmark presets and the flat config format."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from momentmg import (CollisionKind, ConfigError, NuLaw, ReductionStrategy,
-                      ScenarioConfig, ScenarioKind, couette_config,
+from momentmg import (BoundarySpec, CollisionKind, CollisionSpec, ConfigError, NuLaw,
+                      ReductionStrategy, ScenarioConfig, ScenarioKind, couette_config,
                       load_config, parse_config, poiseuille_config)
 from momentmg.scenarios import preset_names, preset_path
 
@@ -153,3 +154,44 @@ def test_config_is_hashable_and_frozen():
     with pytest.raises(Exception):
         cfg.N = 10  # type: ignore[misc]
     assert isinstance(cfg, ScenarioConfig)
+
+
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), -float("inf")])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["L", "rho0", "theta0", "cfl", "u0", "force"]), NON_FINITE,
+       st.integers(0, 2))
+def test_non_finite_scenario_values_are_config_errors(key, bad, d):
+    make = poiseuille_config if key == "force" else couette_config
+    value = bad
+    if key in ("u0", "force"):
+        value = [0.0, 0.0, 0.0]
+        value[d] = bad
+        value = tuple(value)
+    with pytest.raises(ConfigError):
+        make(**{key: value})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["prandtl", "kn", "w"]), NON_FINITE)
+def test_non_finite_collision_values_are_config_errors(key, bad):
+    with pytest.raises(ConfigError):
+        CollisionSpec(**{key: bad})
+    with pytest.raises(ConfigError):
+        parse_config(f"[scenario]\nkind = couette\n{key} = {bad}\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["theta_wall", "chi", "u_wall"]), NON_FINITE, st.integers(0, 1))
+def test_non_finite_wall_values_are_config_errors(key, bad, d):
+    value = bad
+    if key == "u_wall":
+        value = [0.0, 0.0]
+        value[d] = bad
+        value = tuple(value)
+    with pytest.raises(ConfigError):
+        BoundarySpec(**{key: value})
+    text = " ".join(str(v) for v in value) if key == "u_wall" else str(bad)
+    with pytest.raises(ConfigError):
+        parse_config(f"[scenario]\nkind = couette\n{key}_left = {text}\n")

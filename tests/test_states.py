@@ -6,10 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from momentmg import (MomentState, OrderTable, derived_moments, moment_count,
                       recover_macros, PositivityError)
-from momentmg.basis import conservative_moments
 from momentmg.states import macros_of, maxwellian_state, specular_reflect
 
-from oracles import quadrature_moments, random_admissible
+from oracles import conservative_moments, quadrature_moments, random_admissible
 
 
 def _state_with(M, entries, rho=1.0, u=None, theta=1.0):
@@ -158,3 +157,37 @@ def test_maxwellian_state_shape():
     assert s.rho == 2.0
     assert len(s.coeffs) == moment_count(3)
     assert np.count_nonzero(s.coeffs) == 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 10), st.integers(0, 10 ** 6))
+def test_macros_of_matches_array_formula(M, seed):
+    rng = np.random.default_rng(seed)
+    t = OrderTable(M)
+    raw = rng.normal(scale=0.2, size=t.count)
+    raw[0] = 0.5 + rng.random()
+    u, theta = rng.normal(scale=0.5, size=3), 0.5 + rng.random()
+    rho, momentum, energy = conservative_moments(raw, u, theta, t)
+    u_bar = momentum / rho
+    theta_bar = (energy - rho * (u_bar @ u_bar)) / (3.0 * rho)
+    if not theta_bar > 0.0:
+        with pytest.raises(PositivityError):
+            macros_of(raw, u, theta, t)
+        return
+    got_rho, got_u, got_theta = macros_of(raw, u, theta, t)
+    assert got_rho == rho
+    np.testing.assert_allclose(got_u, u_bar, rtol=1e-14, atol=1e-14)
+    assert got_theta == pytest.approx(theta_bar, rel=1e-13)
+
+
+@pytest.mark.parametrize("entry", ["rho", "unit", "diagonal"])
+def test_macros_of_rejects_nan_density_or_temperature(entry):
+    t = OrderTable(4)
+    w = np.zeros(t.count)
+    w[0] = 1.0
+    if entry == "rho":
+        w[0] = np.nan
+    else:
+        w[t.r_unit[1] if entry == "unit" else t.r_unit2[2]] = np.nan
+    with pytest.raises(PositivityError):
+        macros_of(w, np.zeros(3), 1.0, t)

@@ -5,13 +5,12 @@ import pytest
 
 from momentmg import (CollisionKind, CollisionSpec, Field, Grid1D,
                       ScenarioSource, local_residual_norm, moment_count)
-from momentmg.basis import conservative_moments
 from momentmg.residual import field_residuals
 from momentmg.states import maxwellian_state
 from momentmg.transfer import (coarse_rhs, prolong_correction,
                                restrict_residual, restrict_state, zero_pad)
 
-from oracles import random_admissible
+from oracles import conservative_moments, random_admissible
 
 
 def test_restrict_maxwellian_is_maxwellian():
