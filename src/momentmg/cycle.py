@@ -133,8 +133,7 @@ def nmlm_cycle(level: int, field: Field, rhs: list[CellRhs] | None,
     m = plan.orders[level - 1]
     coarse = Field(m, [restrict_state(c, m) for c in field.cells])
     coarse_initial = coarse.copy()
-    rhs_coarse, coarse_terms = coarse_rhs(field, defects, coarse, grid, src, walls,
-                                          return_terms=True)
+    rhs_coarse, coarse_terms = coarse_rhs(field, defects, coarse, grid, src, walls)
     for _ in range(plan.gamma):
         if diag is not None:
             diag.coarse_calls += 1
@@ -154,20 +153,20 @@ def nmlm_cycle(level: int, field: Field, rhs: list[CellRhs] | None,
 
 def residual_norm_of(field: Field, grid: Grid1D, src: ScenarioSource, walls,
                      rhs: list[CellRhs] | None = None,
-                     p_cap: int = DEFAULT_NORM_CAP, return_terms: bool = False):
-    """Weighted global residual norm of a frozen field; with
-    ``return_terms`` also the whole-field defect terms it was read from."""
+                     p_cap: int = DEFAULT_NORM_CAP) -> tuple[float, DefectTerms]:
+    """Weighted global residual norm of a frozen field and the whole-field
+    defect terms it was read from."""
     defects, terms = field_residuals(field, grid, src, walls, rhs, return_terms=True)
     table = field.cells[0].table
     locals_ = [local_residual_norm(d, c.theta, table, p_cap)
                for d, c in zip(defects, field.cells)]
     res = global_residual_norm(locals_, grid.dx)
-    return (res, terms) if return_terms else res
+    return res, terms
 
 
 def _finite_residual(field: Field, grid: Grid1D, src: ScenarioSource, walls,
                      iteration: int) -> tuple[float, DefectTerms]:
-    res, terms = residual_norm_of(field, grid, src, walls, return_terms=True)
+    res, terms = residual_norm_of(field, grid, src, walls)
     if not math.isfinite(res):
         raise ConvergenceError(f"residual {res} after {iteration} iterations")
     return res, terms

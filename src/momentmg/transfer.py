@@ -16,7 +16,7 @@ import numpy as np
 from .basis import change_basis
 from .grid import Field, Grid1D, ScenarioSource
 from .indices import moment_count
-from .residual import CellRhs, field_residuals
+from .residual import CellRhs, DefectTerms, field_residuals
 from .states import MomentState, recover_macros
 
 __all__ = ["restrict_state", "restrict_residual", "zero_pad", "coarse_rhs",
@@ -44,12 +44,12 @@ def zero_pad(coeffs: np.ndarray, M: int) -> np.ndarray:
 
 def coarse_rhs(fine_field: Field, fine_defects: list[np.ndarray],
                coarse_field: Field, grid: Grid1D, src: ScenarioSource,
-               walls, return_terms: bool = False):
+               walls) -> tuple[list[CellRhs], DefectTerms]:
     """Right-hand side of the lower-order problem,
     r_m = R_m(restricted field) + truncation of (r_M - R_M(fine field)),
-    pinned cellwise to the restricted states' bases.  With ``return_terms``
-    also the coarse field's defect terms with this right-hand side: those of
-    R_m with rows r_m, since each is pinned at its own cell's centre."""
+    pinned cellwise to the restricted states' bases, and the coarse field's
+    defect terms with this right-hand side: those of R_m with rows r_m,
+    since each is pinned at its own cell's centre."""
     m = coarse_field.order
     coarse_ops, terms = field_residuals(coarse_field, grid, src, walls,
                                         return_terms=True)  # = -R_m
@@ -57,7 +57,7 @@ def coarse_rhs(fine_field: Field, fine_defects: list[np.ndarray],
     for cell, neg_Rm, fine_def in zip(coarse_field.cells, coarse_ops, fine_defects):
         r = -neg_Rm + restrict_residual(fine_def, m)
         out.append(CellRhs(r, cell.u.copy(), cell.theta))
-    return (out, replace(terms, rhs=np.array([r.coeffs for r in out]))) if return_terms else out
+    return out, replace(terms, rhs=np.array([r.coeffs for r in out]))
 
 
 def prolong_correction(fine: MomentState, coarse_new: MomentState,

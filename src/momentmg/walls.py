@@ -109,20 +109,6 @@ def _apply_half_flux(A: np.ndarray, coeffs: np.ndarray, M: int) -> np.ndarray:
     return ((coeffs[gather] * mask) @ A.T).ravel()[scatter]
 
 
-def _wall_maxwellian(wall: BoundarySpec, u, theta: float, table: OrderTable) -> np.ndarray:
-    """``change_basis`` of f_0 = 1 from the wall's centre to ``[u, theta]``, as
-    c_1[a1] c_2[a2] c_3[a3]: c_d are the Taylor coefficients of exp(a_d x + b x^2),
-    a = u_w - u, b = (theta_w - theta) / 2, so k c_k = a_d c_{k-1} + 2 b c_{k-2}."""
-    a = np.array([0.0, *wall.u_wall]) - u
-    c = np.zeros((table.M + 1, 3))
-    c[0] = 1.0
-    c[1] = a
-    for k in range(2, table.M + 1):
-        c[k] = (a * c[k - 1] + (wall.theta_wall - theta) * c[k - 2]) / k
-    al = table.alphas
-    return c[al[:, 0], 0] * c[al[:, 1], 1] * c[al[:, 2], 2]
-
-
 def wall_flux(inner: MomentState, wall: BoundarySpec, side: Side) -> np.ndarray:
     """Numerical flux through a wall face, in the inner cell's basis.
 
@@ -147,7 +133,10 @@ def wall_flux(inner: MomentState, wall: BoundarySpec, side: Side) -> np.ndarray:
     if wall.chi == 0.0:
         return flux
 
-    w_mw = _wall_maxwellian(wall, u, theta, table)
+    u_w = np.array([0.0, wall.u_wall[0], wall.u_wall[1]])
+    unit = np.zeros(table.count)
+    unit[0] = 1.0
+    w_mw = change_basis(unit, u_w, wall.theta_wall, u, theta, table)
     flux_mw = _apply_half_flux(A_out, w_mw, M)
     if flux_mw[0] == 0.0:
         raise BoundaryError("wall Maxwellian carries no outgoing mass flux")

@@ -241,7 +241,7 @@ def test_criterion_8_poiseuille():
         field = nmlm_cycle(plan.levels - 1, field, None, plan, grid, src,
                            walls, target_mass=target)
         mass_worst = max(mass_worst, abs(total_mass(field, grid) - target))
-        if residual_norm_of(field, grid, src, walls) <= cfg.tol:
+        if residual_norm_of(field, grid, src, walls)[0] <= cfg.tol:
             converged = True
             break
     rho = np.array([c.rho for c in field.cells])

@@ -171,7 +171,7 @@ def test_pass_from_handed_terms_equals_rebuilt_pass(M, walls, coarse):
         fine, grid, src, walls, _rhs = _setup(M + 2, "esbgk", walls, "force", False, seed=400 + M)
         field = Field(M, [restrict_state(c, M) for c in fine.cells])
         rhs, terms = coarse_rhs(fine, field_residuals(fine, grid, src, walls), field,
-                                grid, src, walls, return_terms=True)
+                                grid, src, walls)
     else:
         field, grid, src, walls, rhs = _setup(M, "esbgk", walls, "force", False, seed=400 + M)
         _defects, terms = field_residuals(field, grid, src, walls, return_terms=True)

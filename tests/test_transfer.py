@@ -91,7 +91,7 @@ def test_coarse_rhs_fas_consistency():
     field, grid, src = _couette_pieces(M, N)
     fine_def = field_residuals(field, grid, src, None)
     coarse = Field(m, [restrict_state(c, m) for c in field.cells])
-    rhs = coarse_rhs(field, fine_def, coarse, grid, src, None)
+    rhs, _terms = coarse_rhs(field, fine_def, coarse, grid, src, None)
     res = field_residuals(coarse, grid, src, None, rhs=rhs)
     for r, d in zip(res, fine_def):
         assert np.allclose(r, restrict_residual(d, m), atol=1e-12)
@@ -109,7 +109,7 @@ def test_coarse_rhs_reduces_to_truncated_defect_at_coarse_equilibrium():
         c.coeffs[10:] += rng.normal(scale=0.01, size=c.table.count - 10)
     fine_def = field_residuals(field, grid, src, None)
     coarse = Field(m, [restrict_state(c, m) for c in field.cells])
-    rhs = coarse_rhs(field, fine_def, coarse, grid, src, None)
+    rhs, _terms = coarse_rhs(field, fine_def, coarse, grid, src, None)
     for r, d in zip(rhs, fine_def):
         assert np.allclose(r.coeffs, restrict_residual(d, m), atol=1e-13)
 

@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from momentmg import BoundarySpec, MomentState, OrderTable, change_basis
+from momentmg import BoundarySpec, MomentState, OrderTable
 from momentmg.fluxes import flux_from_coeffs
 from momentmg.states import maxwellian_state
-from momentmg.walls import (Side, _apply_half_flux, _half_flux_matrices,
-                            _wall_maxwellian, wall_flux)
+from momentmg.walls import Side, _apply_half_flux, _half_flux_matrices, wall_flux
 from momentmg.errors import BoundaryError
 
 from oracles import (analytic_half_space_mass_flux, conservative_moments, mp_half_flux_matrix,
@@ -142,17 +141,3 @@ def test_unphysical_inner_state_raises():
     wall = BoundarySpec(1.0, (0.0, 0.0), 1.0)
     with pytest.raises(BoundaryError):
         wall_flux(inner, wall, Side.LEFT)
-
-
-@pytest.mark.parametrize("M", [2, 4, 10, 16])
-def test_wall_maxwellian_matches_recentred_unit_vector(M):
-    rng = np.random.default_rng(50 + M)
-    table = OrderTable(M)
-    unit = np.zeros(table.count)
-    unit[0] = 1.0
-    for _ in range(10):
-        wall = BoundarySpec(0.5 + rng.random(), tuple(rng.normal(scale=0.7, size=2)), 1.0)
-        u, theta = rng.normal(scale=0.5, size=3), 0.5 + rng.random()
-        expect = change_basis(unit, np.array([0.0, *wall.u_wall]), wall.theta_wall,
-                              u, theta, table)
-        assert _rel(_wall_maxwellian(wall, u, theta, table), expect) <= 1e-15
