@@ -15,6 +15,7 @@ nilpotent and mutually commuting, so the finite transformation is an exact
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -34,16 +35,20 @@ def change_basis(coeffs: np.ndarray, u_from, theta_from: float,
     linear in the coefficients and invertible between same-order spaces.
     The generators for the velocity and temperature shifts commute and both
     lower the degree, so the combined exponential is evaluated as a single
-    terminating series.
+    terminating series: each term is one six-shift gather and one dot with
+    that term's six weights.  The centres are unpacked into Python floats
+    once, so the set-up of the series costs no numpy scalar arithmetic.
     """
+    theta_from, theta_to = float(theta_from), float(theta_to)
     if not (theta_from > 0.0 and theta_to > 0.0):
         raise ValueError("expansion temperatures must be positive")
     if table is None:
         table = _table_for(len(coeffs))
     w = np.asarray(coeffs, dtype=np.float64)
-    du = [b - a for a, b in zip(np.asarray(u_from, dtype=np.float64).tolist(),
-                                np.asarray(u_to, dtype=np.float64).tolist())]
-    dtheta = float(theta_to) - float(theta_from)
+    a1, a2, a3 = np.asarray(u_from, dtype=np.float64).tolist()
+    b1, b2, b3 = np.asarray(u_to, dtype=np.float64).tolist()
+    du = [b1 - a1, b2 - a2, b3 - a3]
+    dtheta = theta_to - theta_from
     if dtheta == 0.0 and du == [0.0, 0.0, 0.0]:
         return w.copy()
     # row j - 1 holds the six shift weights of series term j, with its -1/j
@@ -67,34 +72,33 @@ def change_basis_batch(coeffs: np.ndarray, u_from: np.ndarray, theta_from: np.nd
     ``[u_from[b], theta_from[b]]`` to ``[u_to[b], theta_to[b]]``, with the
     velocities given as ``(B, 3)`` and the temperatures as ``(B,)`` arrays.
 
-    The series runs on the transposed ``(K, B)`` stack, so each of the six
-    shifts is one row gather scaled by its per-row weight; series term j
-    vanishes below degree j, so it is evaluated from degree j on.
+    Each series term is one stacked six-shift gather of the ``(B, K + 1)``
+    term array, giving ``(B, 6, K')``, and one ``(B, 1, 6) @ (B, 6, K')``
+    contraction with the rows' shift weights; series term j vanishes below
+    degree j, so it is evaluated from degree j on.
     """
     theta_from = np.asarray(theta_from, dtype=np.float64)
     theta_to = np.asarray(theta_to, dtype=np.float64)
     if not (np.all(theta_from > 0.0) and np.all(theta_to > 0.0)):
         raise ValueError("expansion temperatures must be positive")
     K = table.count
-    weights = np.empty((6, len(theta_from)))
-    weights[:3] = (np.asarray(u_to, dtype=np.float64)
-                   - np.asarray(u_from, dtype=np.float64)).T
-    weights[3:] = 0.5 * (theta_to - theta_from)
-    off = table.degree_offset
-    term = np.zeros((K + 1, len(theta_from)))
-    term[:K] = np.asarray(coeffs, dtype=np.float64).T
-    out = term[:K].copy()
+    weights = np.empty((len(theta_from), 1, 6))
+    weights[:, 0, :3] = (np.asarray(u_to, dtype=np.float64)
+                         - np.asarray(u_from, dtype=np.float64))
+    weights[:, 0, 3:] = 0.5 * (theta_to - theta_from)[:, None]
+    off = table.degree_offset.tolist()
+    shift6 = table._shift6
+    term = np.zeros((len(theta_from), K + 1))
+    term[:, :K] = coeffs
+    out = term[:, :K].copy()
     for j in range(1, table.M + 1):
         lo = off[j]
-        gather = table._shift6[:, lo:]
-        nxt = term[gather[0]] * weights[0]
-        for c in range(1, 6):
-            nxt += term[gather[c]] * weights[c]
+        nxt = np.matmul(weights, term[:, shift6[:, lo:]])[:, 0]
         nxt /= -j
-        term[off[j - 1]:lo] = 0.0
-        term[lo:K] = nxt
-        out[lo:] += nxt
-    return out.T
+        term[:, off[j - 1]:lo] = 0.0
+        term[:, lo:K] = nxt
+        out[:, lo:] += nxt
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -126,6 +130,7 @@ def wave_speeds(u1, theta, order: int):
 
 
 def max_wave_speed(state) -> float:
-    """:func:`wave_speeds` of one state."""
-    return float(wave_speeds(state.u[0], state.theta, state.order))
+    """:func:`wave_speeds` of one state, on Python floats."""
+    return (abs(float(state.u[0]))
+            + hermite_top_root(state.order + 1) * math.sqrt(state.theta))
 

@@ -9,8 +9,9 @@ Subcommands:
   ratios against the 1-level run of the same (N, M);
 * ``presets`` — list the shipped scenario config files.
 
-Exit status: 0 success, 1 crash, 2 invalid configuration, 3 solver did not
-reach the tolerance (partial outputs kept).
+Exit status: 0 success, 1 crash (a solve stopped by a ``ConvergenceError``
+still writes the ``history.csv`` it made), 2 invalid configuration, 3 solver
+did not reach the tolerance (partial outputs kept).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import sys
 from pathlib import Path
 
 from .cycle import ReductionStrategy, solve
-from .errors import MomentError
+from .errors import ConvergenceError, MomentError
 from .scenarios import (ConfigError, ScenarioConfig, ScenarioKind,
                         load_config, preset_names, preset_path)
 from .smoother import SmootherConfig
@@ -68,13 +69,22 @@ def _solve_config(cfg: ScenarioConfig):
     return result, K, T, grid
 
 
+def _write_history(path: Path, history) -> None:
+    _write_csv(path, ["iteration", "residual", "wall_seconds"],
+               [[rec.iteration, repr(rec.residual), repr(rec.wall_seconds)]
+                for rec in history])
+
+
 def _run_and_write(cfg: ScenarioConfig, out: Path, baseline: bool = False):
     out.mkdir(parents=True, exist_ok=True)
-    result, K, T, grid = _solve_config(cfg)
+    try:
+        result, K, T, grid = _solve_config(cfg)
+    except ConvergenceError as exc:
+        # a stopped solve keeps the history it made
+        _write_history(out / "history.csv", exc.history)
+        raise
 
-    _write_csv(out / "history.csv", ["iteration", "residual", "wall_seconds"],
-               [[rec.iteration, repr(rec.residual), repr(rec.wall_seconds)]
-                for rec in result.history])
+    _write_history(out / "history.csv", result.history)
     header, rows = _profile_rows(cfg, result.field, grid)
     _write_csv(out / "profile.csv", header, rows)
 

@@ -13,6 +13,7 @@ import time
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
 
 from .errors import ConvergenceError, PositivityError
 from .grid import Field, Grid1D, ScenarioSource, total_mass
@@ -155,13 +156,12 @@ def residual_norm_of(field: Field, grid: Grid1D, src: ScenarioSource, walls,
                      rhs: list[CellRhs] | None = None,
                      p_cap: int = DEFAULT_NORM_CAP) -> tuple[float, DefectTerms]:
     """Weighted global residual norm of a frozen field and the whole-field
-    defect terms it was read from."""
+    defect terms it was read from; the local norms of the stacked defects
+    are one :func:`~momentmg.norms.local_residual_norm` call."""
     defects, terms = field_residuals(field, grid, src, walls, rhs, return_terms=True)
-    table = field.cells[0].table
-    locals_ = [local_residual_norm(d, c.theta, table, p_cap)
-               for d, c in zip(defects, field.cells)]
-    res = global_residual_norm(locals_, grid.dx)
-    return res, terms
+    locals_ = local_residual_norm(np.array(defects), [c.theta for c in field.cells],
+                                  field.cells[0].table, p_cap)
+    return global_residual_norm(locals_, grid.dx), terms
 
 
 def _finite_residual(field: Field, grid: Grid1D, src: ScenarioSource, walls,
@@ -178,7 +178,8 @@ def solve(field: Field, grid: Grid1D, src: ScenarioSource, walls,
     """Repeat top-level cycles until the weighted global residual of the
     homogeneous problem drops below tol.  Non-convergence returns the
     history instead of raising; a residual that is not finite, including
-    the initial one, raises :class:`ConvergenceError`."""
+    the initial one, raises :class:`ConvergenceError`, which like every
+    ``ConvergenceError`` out of the cycles carries the records so far."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
     diag = CycleDiagnostics()
@@ -189,11 +190,15 @@ def solve(field: Field, grid: Grid1D, src: ScenarioSource, walls,
     res, terms = _finite_residual(field, grid, src, walls, 0)
     if res <= tol:
         return SolveResult(field, history, True, diag)
-    for k in range(1, max_iters + 1):
-        field = nmlm_cycle(top, field, None, plan, grid, src, walls, cfg,
-                           target_mass, diag, terms)
-        res, terms = _finite_residual(field, grid, src, walls, k)
-        history.append(ConvergenceRecord(k, res, time.perf_counter() - t0))
-        if res <= tol:
-            return SolveResult(field, history, True, diag)
+    try:
+        for k in range(1, max_iters + 1):
+            field = nmlm_cycle(top, field, None, plan, grid, src, walls, cfg,
+                               target_mass, diag, terms)
+            res, terms = _finite_residual(field, grid, src, walls, k)
+            history.append(ConvergenceRecord(k, res, time.perf_counter() - t0))
+            if res <= tol:
+                return SolveResult(field, history, True, diag)
+    except ConvergenceError as exc:
+        exc.history = history
+        raise
     return SolveResult(field, history, False, diag)

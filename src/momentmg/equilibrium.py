@@ -181,5 +181,5 @@ def equilibrium_batch(coeffs: np.ndarray, theta: np.ndarray, spec: CollisionSpec
             f"anisotropy tensor not positive definite (eigs {np.linalg.eigvalsh(lam[b])})")
     out = _gaussian_coeffs(rho, theta, lam, table)
     # trace cleanup; exact up to roundoff already since tr(sigma) = 0
-    _enforce_admissibility(out, table)
+    _enforce_admissibility(out)
     return out

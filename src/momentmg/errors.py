@@ -23,4 +23,10 @@ class BoundaryError(MomentError):
 
 
 class ConvergenceError(MomentError):
-    """The iteration could not proceed (e.g. positivity back-off exhausted)."""
+    """The iteration could not proceed (e.g. positivity back-off exhausted,
+    a non-finite residual).  Raised out of ``solve``, ``history`` holds the
+    convergence records of the iterations completed before the stop."""
+
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.history: list = []

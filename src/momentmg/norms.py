@@ -21,13 +21,16 @@ DEFAULT_NORM_CAP = 3
 _TWO_PI_POW = (2.0 * np.pi) ** (-1.5)
 
 
-def local_residual_norm(res: np.ndarray, theta: float, table: OrderTable,
-                        p_cap: int = DEFAULT_NORM_CAP) -> float:
+def local_residual_norm(res: np.ndarray, theta: float | np.ndarray, table: OrderTable,
+                        p_cap: int = DEFAULT_NORM_CAP) -> float | np.ndarray:
+    """Weighted local norm along the last axis: one residual array with its
+    temperature gives a float, a ``(B, K)`` stack with a scalar or ``(B,)``
+    temperatures gives the ``(B,)`` norms in one call."""
     cap = min(table.M, p_cap)
     n = int(table.degree_offset[cap + 1])
-    deg = table.degree[:n]
-    weights = _TWO_PI_POW * theta ** (-deg - 1.5) * table.factorial[:n]
-    return float(np.sqrt(np.dot(weights, res[:n] ** 2)))
+    theta = np.asarray(theta, dtype=np.float64)[..., None]
+    weights = _TWO_PI_POW * theta ** (-table.degree[:n] - 1.5) * table.factorial[:n]
+    return np.sqrt((weights * res[..., :n] ** 2).sum(axis=-1))
 
 
 def global_residual_norm(local_norms, dx) -> float:

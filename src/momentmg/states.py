@@ -117,12 +117,19 @@ def macros_of(coeffs: np.ndarray, u, theta: float, table: OrderTable) -> tuple[f
     return rho, np.array([v1, v2, v3]), theta_bar
 
 
-def _enforce_admissibility(coeffs: np.ndarray, table: OrderTable) -> None:
+# the diagonal (2, 0, 0), (0, 2, 0), (0, 0, 2) of the degree-2 block, which
+# holds ranks 4-9; the unit indices are ranks 1-3 (the same for every M >= 2)
+_DIAG2 = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 1.0])
+_DIAG2.setflags(write=False)
+
+
+def _enforce_admissibility(coeffs: np.ndarray) -> None:
     """Zero the unit-index coefficients and the trace of the degree-2 diagonal
-    in place, along the last axis of one array or a ``(B, K)`` stack."""
-    coeffs[..., table.r_unit] = 0.0
-    trace = coeffs[..., table.r_unit2].sum(axis=-1, keepdims=True)
-    coeffs[..., table.r_unit2] -= trace / 3.0
+    in place, along the last axis of one array or a ``(B, K)`` stack; basic
+    indexing on the fixed ranks, no gather."""
+    coeffs[..., 1:4] = 0.0
+    deg2 = coeffs[..., 4:10]
+    deg2 -= (deg2[..., 0] + deg2[..., 3] + deg2[..., 5])[..., None] / 3.0 * _DIAG2
 
 
 def recover_macros(raw_coeffs: np.ndarray, u0, theta0: float, M: int | None = None) -> MomentState:
@@ -137,7 +144,7 @@ def recover_macros(raw_coeffs: np.ndarray, u0, theta0: float, M: int | None = No
     table = OrderTable(M) if M is not None else _table_for(len(raw_coeffs))
     rho, u_bar, theta_bar = macros_of(np.asarray(raw_coeffs, dtype=np.float64), u0, theta0, table)
     w = change_basis(raw_coeffs, u0, theta0, u_bar, theta_bar, table)
-    _enforce_admissibility(w, table)
+    _enforce_admissibility(w)
     return MomentState(table.M, u_bar, theta_bar, w)
 
 

@@ -87,19 +87,14 @@ def _half_flux_matrices(u1: float, theta: float, M: int) -> np.ndarray:
     rt = math.sqrt(theta)
     c = -u1 / rt
     # W[s, j] = int_s (u1 + rt v) He_j phi = rt int_s (v - c) He_j phi
-    tail = np.array([0.5 * math.erfc(c / math.sqrt(2.0)),
-                     0.5 * math.erfc(-c / math.sqrt(2.0))])
-    sign = np.array([1.0, -1.0])
+    tail_pos = 0.5 * math.erfc(c / math.sqrt(2.0))
+    tail_neg = 0.5 * math.erfc(-c / math.sqrt(2.0))
     rt_phi = rt * math.exp(-0.5 * c * c) / math.sqrt(2.0 * math.pi)
-    he = np.empty(2 * M - 1)  # He_0..He_{2M-2} at the cut
-    he[0] = 1.0
-    he[1] = c
+    he = [1.0, c]  # He_0..He_{2M-2} at the cut, on Python floats
     for j in range(1, 2 * M - 2):
-        he[j + 1] = c * he[j] - j * he[j - 1]
-    W = np.empty((2, 2 * M + 1))
-    W[:, 0] = u1 * tail + sign * rt_phi
-    W[:, 1] = rt * tail
-    W[:, 2:] = np.outer(sign * rt_phi, he)
+        he.append(c * he[j] - j * he[j - 1])
+    W = np.array([[u1 * tail_pos + rt_phi, rt * tail_pos] + [rt_phi * h for h in he],
+                  [u1 * tail_neg - rt_phi, rt * tail_neg] + [-rt_phi * h for h in he]])
     return (W @ lin.T).reshape(2, M + 1, M + 1) * theta ** power
 
 

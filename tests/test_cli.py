@@ -4,8 +4,8 @@ import csv
 
 import pytest
 
-from momentmg.cli import (EXIT_BAD_CONFIG, EXIT_NO_CONVERGENCE, EXIT_OK, main,
-                          run_benchmark)
+from momentmg.cli import (EXIT_BAD_CONFIG, EXIT_CRASH, EXIT_NO_CONVERGENCE, EXIT_OK,
+                          main, run_benchmark)
 from momentmg.scenarios import couette_config
 
 
@@ -59,6 +59,30 @@ def test_no_convergence_exit_code(tmp_path):
     assert (out / "profile.csv").is_file()
     header, rows = _read_csv(out / "summary.csv")
     assert rows[0][header.index("converged")] == "0"
+
+
+def test_non_finite_stop_keeps_history(tmp_path, monkeypatch, capsys):
+    # the residual of the third iteration is NaN: exit 1, and history.csv
+    # holds the two iterations before it
+    import momentmg.cycle as cycle_mod
+    real_norm = cycle_mod.residual_norm_of
+    residuals = []
+
+    def nan_after_two(*args, **kwargs):
+        res, terms = real_norm(*args, **kwargs)
+        residuals.append(res)  # the first call is the initial residual
+        return (float("nan") if len(residuals) == 4 else res), terms
+
+    monkeypatch.setattr(cycle_mod, "residual_norm_of", nan_after_two)
+    out = tmp_path / "run"
+    assert main(["run", "--config", "couette", "--out", str(out),
+                 "--cells", "8", "--levels", "2"]) == EXIT_CRASH
+    assert "after 3 iterations" in capsys.readouterr().err
+    header, rows = _read_csv(out / "history.csv")
+    assert header == ["iteration", "residual", "wall_seconds"]
+    assert [r[0] for r in rows] == ["1", "2"]
+    assert [float(r[1]) for r in rows] == residuals[1:3]
+    assert not (out / "summary.csv").exists()
 
 
 def test_run_writes_expected_outputs(tmp_path):

@@ -68,6 +68,14 @@ def test_six_shift_gather_matches_manual_lookup():
             assert t._shift6[c, r] == expect
 
 
+@pytest.mark.parametrize("M", range(2, 27))
+def test_unit_and_degree2_diagonal_ranks_are_fixed(M):
+    # states._enforce_admissibility slices these ranks without a lookup
+    t = OrderTable(M)
+    assert t.r_unit.tolist() == [1, 2, 3]
+    assert t.r_unit2.tolist() == [4, 7, 9]
+
+
 def test_rank_rejects_out_of_range():
     t = OrderTable(3)
     with pytest.raises(IndexError):

@@ -46,3 +46,17 @@ def test_global_norm_trivial_cases():
 def test_global_norm_weighted_example():
     # N = 2, dx = {0.25, 0.75}, norms {2, 0} -> sqrt(0.25 * 4) = 1
     assert global_residual_norm([2.0, 0.0], [0.25, 0.75]) == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("M, p_cap", [(2, 3), (4, 3), (10, 3), (5, 5)])
+def test_stacked_norm_equals_row_by_row_calls(M, p_cap):
+    # the monitor takes the local norms of all cells in one call
+    rng = np.random.default_rng(M)
+    t = OrderTable(M)
+    res = rng.normal(scale=1e-3, size=(9, t.count))
+    thetas = rng.uniform(0.5, 2.0, size=9)
+    for theta, row_thetas in ((1.3, [1.3] * 9), (thetas, thetas)):
+        stacked = local_residual_norm(res, theta, t, p_cap)
+        assert stacked.shape == (9,)
+        rows = [local_residual_norm(r, th, t, p_cap) for r, th in zip(res, row_thetas)]
+        np.testing.assert_allclose(stacked, rows, rtol=1e-15, atol=0)

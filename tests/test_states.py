@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from momentmg import (MomentState, OrderTable, derived_moments, moment_count,
                       recover_macros, PositivityError)
-from momentmg.states import macros_of, maxwellian_state, specular_reflect
+from momentmg.states import (_enforce_admissibility, macros_of, maxwellian_state,
+                             specular_reflect)
 
 from oracles import conservative_moments, quadrature_moments, random_admissible
 
@@ -191,3 +192,21 @@ def test_macros_of_rejects_nan_density_or_temperature(entry):
         w[t.r_unit[1] if entry == "unit" else t.r_unit2[2]] = np.nan
     with pytest.raises(PositivityError):
         macros_of(w, np.zeros(3), 1.0, t)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 10), st.integers(1, 8), st.integers(0, 10 ** 6))
+def test_enforce_admissibility_of_stack_equals_rows(M, B, seed):
+    rng = np.random.default_rng(seed)
+    t = OrderTable(M)
+    stack = rng.normal(size=(B, t.count))
+    rows = stack.copy()
+    expect = stack.copy()
+    _enforce_admissibility(stack)
+    for row in rows:
+        _enforce_admissibility(row)
+    assert stack.tobytes() == rows.tobytes()  # bit for bit
+    # the rank-lookup form of the same projection
+    expect[:, t.r_unit] = 0.0
+    expect[:, t.r_unit2] -= expect[:, t.r_unit2].sum(axis=1, keepdims=True) / 3.0
+    np.testing.assert_allclose(stack, expect, rtol=0, atol=1e-15)
