@@ -16,7 +16,7 @@ The package is organized around a few layers:
   command-line benchmark runner.
 """
 
-from .indices import OrderTable, moment_count, rank, unrank
+from .indices import OrderTable, moment_count
 from .states import MomentState, DerivedMoments, derived_moments, recover_macros
 from .basis import change_basis, max_wave_speed
 from .equilibrium import CollisionSpec, CollisionKind, NuLaw, collision_frequency, equilibrium_coeffs
@@ -30,7 +30,7 @@ from .scenarios import (ScenarioKind, ScenarioConfig, couette_config,
 from .errors import PositivityError, EquilibriumDomainError, BoundaryError, ConvergenceError
 
 __all__ = [
-    "OrderTable", "moment_count", "rank", "unrank",
+    "OrderTable", "moment_count",
     "MomentState", "DerivedMoments", "derived_moments", "recover_macros",
     "change_basis", "max_wave_speed",
     "CollisionSpec", "CollisionKind", "NuLaw", "collision_frequency", "equilibrium_coeffs",

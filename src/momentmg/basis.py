@@ -27,7 +27,7 @@ __all__ = ["change_basis", "change_basis_batch", "max_wave_speed", "wave_speeds"
 
 
 def change_basis(coeffs: np.ndarray, u_from, theta_from: float,
-                 u_to, theta_to: float, table: OrderTable | None = None) -> np.ndarray:
+                 u_to, theta_to: float, table: OrderTable) -> np.ndarray:
     """Re-center a coefficient array from ``[u_from, theta_from]`` to
     ``[u_to, theta_to]``.
 
@@ -42,8 +42,6 @@ def change_basis(coeffs: np.ndarray, u_from, theta_from: float,
     theta_from, theta_to = float(theta_from), float(theta_to)
     if not (theta_from > 0.0 and theta_to > 0.0):
         raise ValueError("expansion temperatures must be positive")
-    if table is None:
-        table = _table_for(len(coeffs))
     w = np.asarray(coeffs, dtype=np.float64)
     a1, a2, a3 = np.asarray(u_from, dtype=np.float64).tolist()
     b1, b2, b3 = np.asarray(u_to, dtype=np.float64).tolist()
@@ -99,17 +97,6 @@ def change_basis_batch(coeffs: np.ndarray, u_from: np.ndarray, theta_from: np.nd
         term[:, lo:K] = nxt
         out[:, lo:] += nxt
     return out
-
-
-@lru_cache(maxsize=None)
-def _table_for(count: int) -> OrderTable:
-    M = 0
-    while OrderTable(M).count < count:
-        M += 1
-    table = OrderTable(M)
-    if table.count != count:
-        raise ValueError(f"{count} is not a valid coefficient count")
-    return table
 
 
 @lru_cache(maxsize=None)

@@ -9,7 +9,7 @@ Subcommands:
   ratios against the 1-level run of the same (N, M);
 * ``presets`` — list the shipped scenario config files.
 
-Exit status: 0 success, 1 crash (a solve stopped by a ``ConvergenceError``
+Exit status: 0 success, 1 crash (a solve stopped by a ``MomentError``
 still writes the ``history.csv`` it made), 2 invalid configuration, 3 solver
 did not reach the tolerance (partial outputs kept).
 """
@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from .cycle import ReductionStrategy, solve
-from .errors import ConvergenceError, MomentError
+from .errors import MomentError
 from .scenarios import (ConfigError, ScenarioConfig, ScenarioKind,
                         load_config, preset_names, preset_path)
 from .smoother import SmootherConfig
@@ -79,7 +79,7 @@ def _run_and_write(cfg: ScenarioConfig, out: Path, baseline: bool = False):
     out.mkdir(parents=True, exist_ok=True)
     try:
         result, K, T, grid = _solve_config(cfg)
-    except ConvergenceError as exc:
+    except MomentError as exc:
         # a stopped solve keeps the history it made
         _write_history(out / "history.csv", exc.history)
         raise

@@ -13,12 +13,10 @@ import time
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import ConvergenceError, PositivityError
+from .errors import ConvergenceError, MomentError, PositivityError
 from .grid import Field, Grid1D, ScenarioSource, total_mass
-from .norms import DEFAULT_NORM_CAP, global_residual_norm, local_residual_norm
-from .residual import CellRhs, DefectTerms, field_residuals
+from .norms import global_residual_norm, local_residual_norm
+from .residual import DefectTerms, PinnedRhs, field_residuals
 from .smoother import SmootherConfig, smooth
 from .transfer import coarse_rhs, prolong_correction, restrict_state
 
@@ -107,7 +105,7 @@ class SolveResult:
     diagnostics: CycleDiagnostics
 
 
-def nmlm_cycle(level: int, field: Field, rhs: list[CellRhs] | None,
+def nmlm_cycle(level: int, field: Field, rhs: PinnedRhs | None,
                plan: CyclePlan, grid: Grid1D, src: ScenarioSource, walls,
                cfg: SmootherConfig | None = None,
                target_mass: float | None = None,
@@ -124,17 +122,17 @@ def nmlm_cycle(level: int, field: Field, rhs: list[CellRhs] | None,
         cfg = SmootherConfig()
     if field.order != plan.orders[level]:
         raise ValueError(f"field order {field.order} != plan level order {plan.orders[level]}")
-    level_cfg = SmootherConfig(cfl=cfg.cfl, max_backoff=cfg.max_backoff, rhs=rhs)
+    level_cfg = SmootherConfig(cfl=cfg.cfl, rhs=rhs)
     if level == 0:
         return smooth(field, plan.s3, grid, src, walls, level_cfg, target_mass, terms)
 
     field = smooth(field, plan.s1, grid, src, walls, level_cfg, target_mass, terms)
 
-    defects = field_residuals(field, grid, src, walls, rhs)
+    defects, _terms = field_residuals(field, grid, src, walls, rhs)
     m = plan.orders[level - 1]
     coarse = Field(m, [restrict_state(c, m) for c in field.cells])
     coarse_initial = coarse.copy()
-    rhs_coarse, coarse_terms = coarse_rhs(field, defects, coarse, grid, src, walls)
+    rhs_coarse, coarse_terms = coarse_rhs(defects, coarse, grid, src, walls)
     for _ in range(plan.gamma):
         if diag is not None:
             diag.coarse_calls += 1
@@ -153,14 +151,13 @@ def nmlm_cycle(level: int, field: Field, rhs: list[CellRhs] | None,
 
 
 def residual_norm_of(field: Field, grid: Grid1D, src: ScenarioSource, walls,
-                     rhs: list[CellRhs] | None = None,
-                     p_cap: int = DEFAULT_NORM_CAP) -> tuple[float, DefectTerms]:
+                     rhs: PinnedRhs | None = None) -> tuple[float, DefectTerms]:
     """Weighted global residual norm of a frozen field and the whole-field
     defect terms it was read from; the local norms of the stacked defects
     are one :func:`~momentmg.norms.local_residual_norm` call."""
-    defects, terms = field_residuals(field, grid, src, walls, rhs, return_terms=True)
-    locals_ = local_residual_norm(np.array(defects), [c.theta for c in field.cells],
-                                  field.cells[0].table, p_cap)
+    defects, terms = field_residuals(field, grid, src, walls, rhs)
+    locals_ = local_residual_norm(defects, [c.theta for c in field.cells],
+                                  field.cells[0].table)
     return global_residual_norm(locals_, grid.dx), terms
 
 
@@ -178,8 +175,9 @@ def solve(field: Field, grid: Grid1D, src: ScenarioSource, walls,
     """Repeat top-level cycles until the weighted global residual of the
     homogeneous problem drops below tol.  Non-convergence returns the
     history instead of raising; a residual that is not finite, including
-    the initial one, raises :class:`ConvergenceError`, which like every
-    ``ConvergenceError`` out of the cycles carries the records so far."""
+    the initial one, raises :class:`ConvergenceError`; it, and every other
+    :class:`~momentmg.errors.MomentError` out of the cycles, carries the
+    records so far in ``history``."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
     diag = CycleDiagnostics()
@@ -198,7 +196,7 @@ def solve(field: Field, grid: Grid1D, src: ScenarioSource, walls,
             history.append(ConvergenceRecord(k, res, time.perf_counter() - t0))
             if res <= tol:
                 return SolveResult(field, history, True, diag)
-    except ConvergenceError as exc:
+    except MomentError as exc:
         exc.history = history
         raise
     return SolveResult(field, history, False, diag)

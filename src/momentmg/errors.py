@@ -6,7 +6,13 @@ class ConfigError(ValueError):
 
 
 class MomentError(Exception):
-    """Base class for solver-specific failures."""
+    """Base class for solver-specific failures.  Raised out of ``solve``,
+    ``history`` holds the convergence records of the iterations completed
+    before the stop."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.history: list = []
 
 
 class PositivityError(MomentError):
@@ -24,9 +30,4 @@ class BoundaryError(MomentError):
 
 class ConvergenceError(MomentError):
     """The iteration could not proceed (e.g. positivity back-off exhausted,
-    a non-finite residual).  Raised out of ``solve``, ``history`` holds the
-    convergence records of the iterations completed before the stop."""
-
-    def __init__(self, message: str):
-        super().__init__(message)
-        self.history: list = []
+    a non-finite residual)."""

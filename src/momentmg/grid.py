@@ -96,7 +96,7 @@ class ScenarioSource:
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.force)):
-            raise ValueError("force must be finite")
+            raise ConfigError("force must be finite")
 
 
 def total_mass(f: Field, grid: Grid1D) -> float:

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["moment_count", "rank", "unrank", "OrderTable"]
+__all__ = ["moment_count", "OrderTable"]
 
 
 def moment_count(M: int) -> int:
@@ -116,13 +116,3 @@ class OrderTable:
         """Coefficient array of ``alpha -> w[alpha - e_d]`` (zero where
         undefined), along the last axis of ``w``."""
         return w[..., self._minus_clip[d]] * self._minus_mask[d]
-
-
-def rank(alpha, M: int) -> int:
-    """Rank of ``alpha`` in the canonical order-``M`` enumeration."""
-    return OrderTable(M).rank(alpha)
-
-
-def unrank(r: int, M: int) -> tuple[int, int, int]:
-    """Inverse of :func:`rank`."""
-    return OrderTable(M).unrank(r)

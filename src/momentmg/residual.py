@@ -2,12 +2,13 @@
 
 The defect of cell i is r_i - R_i, with
 R_i = (F(f_i, f_{i+1}) - F(f_{i-1}, f_i)) / dx_i - G(f_i), everything in
-f_i's basis.  :func:`defect_terms` evaluates the parts of it for many
-cells at once on the field stacked into ``(n, K)`` arrays: each cell's
-source G_i, its right-hand side r_i re-centred onto the cell's basis, its
-wave speed, its wall faces, and the Lax-Friedrichs faces against a chosen
-set of neighbours, re-centred in one batched series.  :func:`cell_defect`
-then only reads the cell's row and evaluates the faces left open.
+f_i's basis.  :func:`defect_terms` evaluates the parts of it for every cell
+of the field at once, stacked into ``(n, K)`` arrays: each cell's source
+G_i, its right-hand side r_i re-centred onto the cell's basis, its wave
+speed, its wall faces, and the Lax-Friedrichs faces against a chosen set of
+neighbours, re-centred in one batched series.  The right-hand side is one
+stacked :class:`PinnedRhs`.  :func:`cell_defect` then only reads the cell's
+row and evaluates the faces left open.
 
 A frozen field (the residual monitor, the FAS defects, the coarse operator
 of ``coarse_rhs``) closes every face at once.  A Gauss-Seidel pass of the
@@ -33,31 +34,31 @@ from .grid import Field, Grid1D, ScenarioSource
 from .indices import OrderTable
 from .walls import Side, wall_flux
 
-__all__ = ["CellRhs", "DefectTerms", "source_terms", "defect_terms", "reopen",
+__all__ = ["PinnedRhs", "DefectTerms", "source_terms", "defect_terms", "reopen",
            "cell_defect", "field_residuals"]
 
 
 @dataclass
-class CellRhs:
-    """A known right-hand-side expansion, pinned to the basis it was built
-    in; re-expressed into a cell's current basis on every evaluation."""
+class PinnedRhs:
+    """A known right-hand side of every cell of a field: row i of the
+    ``(n, K)`` ``coeffs`` is pinned to the basis ``[u[i], theta[i]]`` it was
+    built in, and re-expressed into cell i's current basis on every
+    evaluation."""
 
     coeffs: np.ndarray
     u: np.ndarray
-    theta: float
+    theta: np.ndarray
 
 
 @dataclass
 class DefectTerms:
-    """The parts of the defects of a set of cells, one row per cell.
+    """The parts of the defects of every cell of a field, one row per cell.
 
-    ``row`` maps a cell index to its row.  ``flux_l`` / ``flux_r`` hold the
-    left / right face flux where ``closed_l`` / ``closed_r`` is set; an
-    open face is evaluated by :func:`cell_defect` against the neighbour's
-    current state.
+    ``flux_l`` / ``flux_r`` hold the left / right face flux where
+    ``closed_l`` / ``closed_r`` is set; an open face is evaluated by
+    :func:`cell_defect` against the neighbour's current state.
     """
 
-    row: dict[int, int]
     dx: np.ndarray
     lam: np.ndarray
     source: np.ndarray
@@ -82,34 +83,32 @@ def source_terms(coeffs: np.ndarray, theta: np.ndarray, src: ScenarioSource,
 
 
 @lru_cache(maxsize=None)
-def _face_plan(n: int, cells: tuple[int, ...], has_walls: bool, sweep: int):
-    """The face rule of :func:`defect_terms`: cell rows, wall faces as (row,
-    side, cell), the other closed faces as row, side and neighbour arrays,
-    and the ``(2, B)`` closed mask (side 0 left, 1 right)."""
+def _face_plan(n: int, has_walls: bool, sweep: int):
+    """The face rule of :func:`defect_terms`: wall faces as (side, cell), the
+    other closed faces as cell, side and neighbour arrays, and the
+    ``(2, n)`` closed mask (side 0 left, 1 right)."""
     wall_faces, faces = [], []
-    for k, i in enumerate(cells):
+    for i in range(n):
         for side, step in ((0, -1), (1, 1)):
             j = (i + step) % n
             if has_walls and i + step in (-1, n):
-                wall_faces.append((k, side, i))
+                wall_faces.append((side, i))
             elif sweep == 0 or (j - i) * sweep > 0:
-                faces.append((k, side, j))
+                faces.append((i, side, j))
     faces = np.array(faces, dtype=np.int64).reshape(-1, 3)
-    closed = np.zeros((2, len(cells)), dtype=bool)
+    closed = np.zeros((2, n), dtype=bool)
     closed[faces[:, 1], faces[:, 0]] = True
-    for k, side, _ in wall_faces:
-        closed[side, k] = True
+    for side, i in wall_faces:
+        closed[side, i] = True
     for arr in (faces, closed):
         arr.setflags(write=False)
-    return ({i: k for k, i in enumerate(cells)}, np.array(cells), tuple(wall_faces),
-            *faces.T, closed)
+    return tuple(wall_faces), *faces.T, closed
 
 
 def defect_terms(field: Field, grid: Grid1D, src: ScenarioSource, walls,
-                 rhs=None, cells=None, sweep: int = 0) -> DefectTerms:
-    """Defect terms of ``cells`` (default: all) against the field as it is.
+                 rhs: PinnedRhs | None = None, sweep: int = 0) -> DefectTerms:
+    """Defect terms of every cell against the field as it is.
 
-    ``rhs`` is indexed by cell (a list for the field, or a mapping) or None.
     With ``sweep = 0`` every face is closed.  With ``sweep = +1`` / ``-1``
     only the faces against neighbours that a forward / backward
     Gauss-Seidel pass relaxes after the cell are closed, plus the wall
@@ -117,49 +116,45 @@ def defect_terms(field: Field, grid: Grid1D, src: ScenarioSource, walls,
     ``walls`` is None (test hook).
     """
     table = OrderTable(field.order)
-    row, idx, wall_faces, rows, sides, nbrs, closed = _face_plan(
-        len(field), tuple(range(len(field)) if cells is None else cells),
-        walls is not None, sweep)
+    n = len(field)
+    wall_faces, rows, sides, nbrs, closed = _face_plan(n, walls is not None, sweep)
     C = np.array([c.coeffs for c in field.cells])
     U = np.array([c.u for c in field.cells])
     T = np.array([c.theta for c in field.cells])
-    lam_all = wave_speeds(U[:, 0], T, field.order)
+    lam = wave_speeds(U[:, 0], T, field.order)
+    source = source_terms(C, T, src, table)
 
-    own_C, own_U, own_T = C[idx], U[idx], T[idx]
-    lam = lam_all[idx]
-    source = source_terms(own_C, own_T, src, table)
-
-    flux = np.zeros((2, len(idx), table.count))  # [0] left faces, [1] right faces
-    for k, side, i in wall_faces:
-        flux[side, k] = wall_flux(field.cells[i], walls[side],
+    flux = np.zeros((2, n, table.count))  # [0] left faces, [1] right faces
+    for side, i in wall_faces:
+        flux[side, i] = wall_flux(field.cells[i], walls[side],
                                   Side.LEFT if side == 0 else Side.RIGHT)
 
-    # one batched series re-centres the pinned right-hand sides and the
-    # neighbours of the closed faces onto their cells' bases
-    pinned = [] if rhs is None else [rhs[i] for i in row]
-    to = np.concatenate([np.arange(len(pinned)), rows])
-    moved = change_basis_batch(np.vstack([r.coeffs for r in pinned] + [C[nbrs]]),
-                               np.vstack([r.u for r in pinned] + [U[nbrs]]),
-                               np.concatenate([[r.theta for r in pinned], T[nbrs]]),
-                               own_U[to], own_T[to], table)
-    rhs_rows = moved[:len(pinned)] if pinned else None
+    # one batched series re-centres the pinned right-hand sides (the first
+    # ``pinned`` rows) and the neighbours of the closed faces onto their
+    # cells' bases
+    pinned = 0 if rhs is None else n
+    frm = (C[nbrs], U[nbrs], T[nbrs])
+    if rhs is not None:
+        frm = [np.concatenate(p) for p in zip((rhs.coeffs, rhs.u, rhs.theta), frm)]
+    to = np.concatenate([np.arange(pinned), rows])
+    moved = change_basis_batch(*frm, U[to], T[to], table)
     if len(rows):
-        w_nb, w_own = moved[len(pinned):], own_C[rows]
+        w_nb, w_own = moved[pinned:], C[rows]
         left = (sides == 0)[:, None]
-        lam_face = np.maximum(lam[rows], lam_all[nbrs])[:, None]
+        lam_face = np.maximum(lam[rows], lam[nbrs])[:, None]
         flux[sides, rows] = lf_flux(np.where(left, w_nb, w_own),
                                     np.where(left, w_own, w_nb), lam_face,
-                                    own_U[rows, :1], own_T[rows, None], table)
+                                    U[rows, :1], T[rows, None], table)
 
-    return DefectTerms(row, grid.dx[idx], lam, source, rhs_rows,
+    return DefectTerms(grid.dx, lam, source, None if rhs is None else moved[:n],
                        flux[0], flux[1], closed[0], closed[1])
 
 
 def reopen(terms: DefectTerms, walls, sweep: int) -> DefectTerms:
     """The terms of a Gauss-Seidel pass (``sweep = +1`` / ``-1``) from the
-    ``sweep = 0`` terms of all cells of the same, unchanged field: every
-    term the pass freezes is there bit for bit, so only faces are re-opened."""
-    closed = _face_plan(len(terms.row), tuple(terms.row), walls is not None, sweep)[-1]
+    ``sweep = 0`` terms of the same, unchanged field: every term the pass
+    freezes is there bit for bit, so only faces are re-opened."""
+    closed = _face_plan(len(terms.lam), walls is not None, sweep)[-1]
     return replace(terms, closed_l=closed[0], closed_r=closed[1])
 
 
@@ -173,37 +168,25 @@ def _open_face(field: Field, i: int, j: int, lam_i: float, j_is_right: bool) -> 
     return lf_flux(wl, wr, lam, float(this.u[0]), this.theta, table)
 
 
-def cell_defect(field: Field, i: int, grid: Grid1D, src: ScenarioSource,
-                walls, rhs_i: CellRhs | None = None,
-                terms: DefectTerms | None = None) -> np.ndarray:
+def cell_defect(field: Field, i: int, terms: DefectTerms) -> np.ndarray:
     """Defect r_i - R_i (or -R_i without a right-hand side) of cell i
-    against its current neighbours, in cell i's basis.
-
-    ``terms`` are the cell's terms from :func:`defect_terms`, which already
-    carry the right-hand side; without them they are built for this cell
-    alone, from ``rhs_i``.
-    """
-    if terms is None:
-        terms = defect_terms(field, grid, src, walls,
-                             None if rhs_i is None else {i: rhs_i}, cells=[i])
-    k = terms.row[i]
+    against its current neighbours, in cell i's basis, from the field's
+    :class:`DefectTerms`, which already carry the right-hand side."""
     n = len(field)
-    lam = float(terms.lam[k])
-    flux_r = (terms.flux_r[k] if terms.closed_r[k]
+    lam = float(terms.lam[i])
+    flux_r = (terms.flux_r[i] if terms.closed_r[i]
               else _open_face(field, i, (i + 1) % n, lam, True))
-    flux_l = (terms.flux_l[k] if terms.closed_l[k]
+    flux_l = (terms.flux_l[i] if terms.closed_l[i]
               else _open_face(field, i, (i - 1) % n, lam, False))
-    R = (flux_r - flux_l) / terms.dx[k] - terms.source[k]
+    R = (flux_r - flux_l) / terms.dx[i] - terms.source[i]
     if terms.rhs is None:
         return -R
-    return terms.rhs[k] - R
+    return terms.rhs[i] - R
 
 
 def field_residuals(field: Field, grid: Grid1D, src: ScenarioSource, walls,
-                    rhs: list[CellRhs] | None = None, return_terms: bool = False):
-    """Defect arrays r_i - R_i for every cell of a frozen field; with
-    ``return_terms`` also the :class:`DefectTerms` they were read from."""
+                    rhs: PinnedRhs | None = None) -> tuple[np.ndarray, DefectTerms]:
+    """The ``(n, K)`` defects r_i - R_i of a frozen field and the
+    :class:`DefectTerms` they were read from."""
     terms = defect_terms(field, grid, src, walls, rhs)
-    defects = [cell_defect(field, i, grid, src, walls, terms=terms)
-               for i in range(len(field))]
-    return (defects, terms) if return_terms else defects
+    return np.array([cell_defect(field, i, terms) for i in range(len(field))]), terms

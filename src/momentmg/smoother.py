@@ -10,7 +10,8 @@ handed the monitor's or ``coarse_rhs``'s whole-field terms only re-opens
 faces (:func:`~momentmg.residual.reopen`).  The per-cell step then
 re-centres only the neighbour already relaxed in this pass and evaluates
 that one face, so each step sees the freshest neighbour values exactly as
-a cell-by-cell evaluation would.
+a cell-by-cell evaluation would.  The FAS right-hand side of a coarse level
+is one stacked :class:`~momentmg.residual.PinnedRhs`.
 """
 
 from __future__ import annotations
@@ -21,41 +22,37 @@ import numpy as np
 
 from .errors import ConvergenceError, PositivityError
 from .grid import Field, Grid1D, ScenarioSource, mass_correction
-from .residual import CellRhs, DefectTerms, cell_defect, defect_terms, reopen
+from .residual import DefectTerms, PinnedRhs, cell_defect, defect_terms, reopen
 from .states import MomentState, recover_macros
 
-__all__ = ["SmootherConfig", "richardson_step", "sgs_sweep", "smooth"]
+__all__ = ["SmootherConfig", "richardson_step", "sgs_sweep", "smooth", "MAX_BACKOFF"]
+
+MAX_BACKOFF = 30  # step halvings before a cell's positivity back-off gives up
 
 
 @dataclass
 class SmootherConfig:
     cfl: float = 0.9
-    max_backoff: int = 30
-    rhs: list[CellRhs] | None = None
+    rhs: PinnedRhs | None = None
 
     def __post_init__(self):
         if not 0.0 < self.cfl < 1.0:
             raise ValueError("CFL factor must lie strictly in (0, 1)")
 
 
-def richardson_step(i: int, field: Field, grid: Grid1D, src: ScenarioSource,
-                    walls, cfg: SmootherConfig,
-                    terms: DefectTerms | None = None) -> MomentState:
-    """One Richardson relaxation of cell i against its current neighbors.
+def richardson_step(i: int, field: Field, cfg: SmootherConfig,
+                    terms: DefectTerms) -> MomentState:
+    """One Richardson relaxation of cell i against its current neighbors,
+    with ``terms`` the pass's frozen defect terms.
 
     Step size omega = cfl * dx_i / lambda_max,i; when the intermediate
     coefficients lose density/temperature positivity, omega is halved and
-    the step retried.  ``terms`` are the pass's frozen defect terms; without
-    them they are built for this cell alone.
+    the step retried, at most ``MAX_BACKOFF`` times.
     """
     this = field.cells[i]
-    if terms is None:
-        rhs = None if cfg.rhs is None else {i: cfg.rhs[i]}
-        terms = defect_terms(field, grid, src, walls, rhs, cells=[i])
-    defect = cell_defect(field, i, grid, src, walls, terms=terms)
-    k = terms.row[i]
-    omega = cfg.cfl * float(terms.dx[k]) / float(terms.lam[k])
-    for _ in range(cfg.max_backoff + 1):
+    defect = cell_defect(field, i, terms)
+    omega = cfg.cfl * float(terms.dx[i]) / float(terms.lam[i])
+    for _ in range(MAX_BACKOFF + 1):
         try:
             return recover_macros(this.coeffs + omega * defect, this.u, this.theta, this.order)
         except PositivityError:
@@ -77,7 +74,7 @@ def sgs_sweep(field: Field, grid: Grid1D, src: ScenarioSource, walls,
         terms = (defect_terms(field, grid, src, walls, cfg.rhs, sweep=sweep)
                  if terms is None else reopen(terms, walls, sweep))
         for i in order:
-            field.cells[i] = richardson_step(i, field, grid, src, walls, cfg, terms)
+            field.cells[i] = richardson_step(i, field, cfg, terms)
         terms = None
     if target_mass is not None:
         mass_correction(field, grid, target_mass)

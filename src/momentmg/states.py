@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import _table_for, change_basis
+from .basis import change_basis
 from .errors import PositivityError
 from .indices import OrderTable, moment_count
 
@@ -132,7 +132,7 @@ def _enforce_admissibility(coeffs: np.ndarray) -> None:
     deg2 -= (deg2[..., 0] + deg2[..., 3] + deg2[..., 5])[..., None] / 3.0 * _DIAG2
 
 
-def recover_macros(raw_coeffs: np.ndarray, u0, theta0: float, M: int | None = None) -> MomentState:
+def recover_macros(raw_coeffs: np.ndarray, u0, theta0: float, M: int) -> MomentState:
     """Re-center a raw coefficient array onto its own mean velocity and
     temperature, returning an admissible state with the same mass, momentum
     and energy.
@@ -141,7 +141,7 @@ def recover_macros(raw_coeffs: np.ndarray, u0, theta0: float, M: int | None = No
     is not positive or not a number (the smoother's step-size back-off and
     the rejection of a coarse correction catch this).
     """
-    table = OrderTable(M) if M is not None else _table_for(len(raw_coeffs))
+    table = OrderTable(M)
     rho, u_bar, theta_bar = macros_of(np.asarray(raw_coeffs, dtype=np.float64), u0, theta0, table)
     w = change_basis(raw_coeffs, u0, theta0, u_bar, theta_bar, table)
     _enforce_admissibility(w)

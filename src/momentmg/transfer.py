@@ -2,7 +2,10 @@
 
 Restriction is degree truncation (a prefix slice under the graded index
 order), which keeps the expansion center and therefore the conservative
-moments.  Prolongation zero-pads the coarse correction back to the fine
+moments; the fine defects restrict as the ``(n, K_m)`` prefix of their
+stack, inside :func:`coarse_rhs`, which returns the coarse level's
+right-hand side as one stacked :class:`~momentmg.residual.PinnedRhs`.
+Prolongation zero-pads the coarse correction back to the fine
 order, adds it in the fine basis and re-centers the sum onto its own
 conservative moments through ``recover_macros``.
 """
@@ -16,11 +19,10 @@ import numpy as np
 from .basis import change_basis
 from .grid import Field, Grid1D, ScenarioSource
 from .indices import moment_count
-from .residual import CellRhs, DefectTerms, field_residuals
+from .residual import DefectTerms, PinnedRhs, field_residuals
 from .states import MomentState, recover_macros
 
-__all__ = ["restrict_state", "restrict_residual", "zero_pad", "coarse_rhs",
-           "prolong_correction"]
+__all__ = ["restrict_state", "zero_pad", "coarse_rhs", "prolong_correction"]
 
 
 def restrict_state(fine: MomentState, m: int) -> MomentState:
@@ -32,32 +34,25 @@ def restrict_state(fine: MomentState, m: int) -> MomentState:
                        fine.coeffs[:moment_count(m)].copy())
 
 
-def restrict_residual(fine_res: np.ndarray, m: int) -> np.ndarray:
-    return np.asarray(fine_res)[:moment_count(m)].copy()
-
-
 def zero_pad(coeffs: np.ndarray, M: int) -> np.ndarray:
     out = np.zeros(moment_count(M))
     out[:len(coeffs)] = coeffs
     return out
 
 
-def coarse_rhs(fine_field: Field, fine_defects: list[np.ndarray],
-               coarse_field: Field, grid: Grid1D, src: ScenarioSource,
-               walls) -> tuple[list[CellRhs], DefectTerms]:
+def coarse_rhs(fine_defects: np.ndarray, coarse_field: Field, grid: Grid1D,
+               src: ScenarioSource, walls) -> tuple[PinnedRhs, DefectTerms]:
     """Right-hand side of the lower-order problem,
-    r_m = R_m(restricted field) + truncation of (r_M - R_M(fine field)),
-    pinned cellwise to the restricted states' bases, and the coarse field's
-    defect terms with this right-hand side: those of R_m with rows r_m,
-    since each is pinned at its own cell's centre."""
-    m = coarse_field.order
-    coarse_ops, terms = field_residuals(coarse_field, grid, src, walls,
-                                        return_terms=True)  # = -R_m
-    out = []
-    for cell, neg_Rm, fine_def in zip(coarse_field.cells, coarse_ops, fine_defects):
-        r = -neg_Rm + restrict_residual(fine_def, m)
-        out.append(CellRhs(r, cell.u.copy(), cell.theta))
-    return out, replace(terms, rhs=np.array([r.coeffs for r in out]))
+    r_m = R_m(restricted field) + truncation of the ``(n, K_M)`` fine
+    defects r_M - R_M(fine field), pinned cellwise to the restricted
+    states' bases, and the coarse field's defect terms with this
+    right-hand side: those of R_m with rows r_m, since each is pinned at
+    its own cell's centre."""
+    coarse_defects, terms = field_residuals(coarse_field, grid, src, walls)  # = -R_m
+    rhs = PinnedRhs(fine_defects[:, :moment_count(coarse_field.order)] - coarse_defects,
+                    np.array([c.u for c in coarse_field.cells]),
+                    np.array([c.theta for c in coarse_field.cells]))
+    return rhs, replace(terms, rhs=rhs.coeffs)
 
 
 def prolong_correction(fine: MomentState, coarse_new: MomentState,

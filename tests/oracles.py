@@ -333,7 +333,8 @@ def reference_wall_flux(inner, wall, side):
 
 def reference_cell_residual(f_prev, f_this, f_next, dx, src, rhs_i=None,
                             wall_left=None, wall_right=None):
-    """Defect r_i - R_i of one cell, R_i = (F_right - F_left) / dx - G."""
+    """Defect r_i - R_i of one cell, R_i = (F_right - F_left) / dx - G;
+    ``rhs_i`` is r_i as (coeffs, u, theta) of the basis it is pinned to."""
     from momentmg import change_basis
     from momentmg.fluxes import numerical_flux
     from momentmg.walls import Side
@@ -350,13 +351,15 @@ def reference_cell_residual(f_prev, f_this, f_next, dx, src, rhs_i=None,
     R = (flux_r - flux_l) / dx - reference_source(f_this, src)
     if rhs_i is None:
         return -R
-    return change_basis(rhs_i.coeffs, rhs_i.u, rhs_i.theta, u, theta, table) - R
+    return change_basis(*rhs_i, u, theta, table) - R
 
 
-def reference_cell_defect(field, i, grid, src, walls, rhs_i=None):
-    """Defect of cell i against its current neighbours; periodic
-    wrap-around when ``walls`` is None."""
+def reference_cell_defect(field, i, grid, src, walls, rhs=None):
+    """Defect of cell i against its current neighbours, with row i of the
+    stacked right-hand side ``rhs``; periodic wrap-around when ``walls`` is
+    None."""
     n = len(field)
+    rhs_i = None if rhs is None else (rhs.coeffs[i], rhs.u[i], rhs.theta[i])
     wall_left = walls[0] if (walls is not None and i == 0) else None
     wall_right = walls[1] if (walls is not None and i == n - 1) else None
     prev = None if wall_left is not None else field.cells[(i - 1) % n]
@@ -369,13 +372,13 @@ def reference_sgs_sweep(field, grid, src, walls, cfg, target_mass=None):
     """Forward then backward Gauss-Seidel pass, each cell's defect evaluated
     from scratch against its neighbours' current states."""
     from momentmg import PositivityError, mass_correction, max_wave_speed, recover_macros
+    from momentmg.smoother import MAX_BACKOFF
     n = len(field)
     for i in list(range(n)) + list(range(n - 1, -1, -1)):
         this = field.cells[i]
-        rhs_i = None if cfg.rhs is None else cfg.rhs[i]
-        defect = reference_cell_defect(field, i, grid, src, walls, rhs_i)
+        defect = reference_cell_defect(field, i, grid, src, walls, cfg.rhs)
         omega = cfg.cfl * float(grid.dx[i]) / max_wave_speed(this)
-        for _ in range(cfg.max_backoff + 1):
+        for _ in range(MAX_BACKOFF + 1):
             try:
                 field.cells[i] = recover_macros(this.coeffs + omega * defect,
                                                 this.u, this.theta, this.order)

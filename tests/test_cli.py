@@ -85,6 +85,39 @@ def test_non_finite_stop_keeps_history(tmp_path, monkeypatch, capsys):
     assert not (out / "summary.csv").exists()
 
 
+def test_mid_solve_moment_error_keeps_history(tmp_path, monkeypatch, capsys):
+    # a BoundaryError out of the wall flux in the third iteration: exit 1,
+    # and history.csv holds the two iterations before it
+    import momentmg.cycle as cycle_mod
+    import momentmg.residual as residual_mod
+    from momentmg.errors import BoundaryError
+    real_norm = cycle_mod.residual_norm_of
+    real_wall_flux = residual_mod.wall_flux
+    residuals = []
+
+    def recording_norm(*args, **kwargs):
+        res, terms = real_norm(*args, **kwargs)
+        residuals.append(res)  # the first call is the initial residual
+        return res, terms
+
+    def failing_wall_flux(*args, **kwargs):
+        if len(residuals) == 3:
+            raise BoundaryError("injected wall failure")
+        return real_wall_flux(*args, **kwargs)
+
+    monkeypatch.setattr(cycle_mod, "residual_norm_of", recording_norm)
+    monkeypatch.setattr(residual_mod, "wall_flux", failing_wall_flux)
+    out = tmp_path / "run"
+    assert main(["run", "--config", "couette", "--out", str(out),
+                 "--cells", "8"]) == EXIT_CRASH
+    assert "injected wall failure" in capsys.readouterr().err
+    header, rows = _read_csv(out / "history.csv")
+    assert header == ["iteration", "residual", "wall_seconds"]
+    assert [r[0] for r in rows] == ["1", "2"]
+    assert [float(r[1]) for r in rows] == residuals[1:3]
+    assert not (out / "summary.csv").exists()
+
+
 def test_run_writes_expected_outputs(tmp_path):
     out = tmp_path / "couette"
     code = main(["run", "--config", "couette", "--out", str(out),

@@ -5,8 +5,8 @@ import pytest
 
 from momentmg import (BoundarySpec, CollisionKind, CollisionSpec, ConvergenceError,
                       CyclePlan, Field, Grid1D, NuLaw, ReductionStrategy, ScenarioSource,
-                      SmootherConfig, nmlm_cycle, order_sequence, smooth,
-                      solve, total_mass)
+                      SmootherConfig, nmlm_cycle, order_sequence, poiseuille_config,
+                      sgs_sweep, smooth, solve, total_mass)
 from momentmg.cycle import CycleDiagnostics, residual_norm_of
 
 
@@ -182,6 +182,36 @@ def test_solve_stops_at_first_non_finite_residual(monkeypatch):
     with pytest.raises(ConvergenceError, match="after 1 iterations"):
         solve(field, grid, src, walls, CyclePlan(orders=(2, 4)), tol=1e-8)
     assert len(calls) == 1
+
+
+def _assert_invariants(field, grid, target):
+    """Total mass to 1e-12 relative; every cell finite, with unit
+    coefficients and degree-2 diagonal trace at most 1e-12 rho."""
+    assert abs(total_mass(field, grid) - target) <= 1e-12 * target
+    for c in field.cells:
+        assert np.all(np.isfinite(c.coeffs)) and np.all(np.isfinite(c.u))
+        assert np.isfinite(c.theta)
+        assert np.max(np.abs(c.coeffs[c.table.r_unit])) <= 1e-12 * c.rho
+        assert abs(c.coeffs[c.table.r_unit2].sum()) <= 1e-12 * c.rho
+
+
+@pytest.mark.parametrize("chi", [1.0, 0.5])
+@pytest.mark.parametrize("M", [16, 26])
+def test_high_order_cycles_keep_mass_and_admissibility(M, chi):
+    # ES-BGK Poiseuille with a force, 2 levels halve, at the orders the
+    # wall matrices and counts are pinned up to
+    cfg = poiseuille_config(N=6, M=M, levels=2, strategy=ReductionStrategy.HALVE,
+                            walls=(BoundarySpec(chi=chi), BoundarySpec(chi=chi)))
+    field, grid, src, walls = cfg.build()
+    plan = cfg.plan()
+    smoother_cfg = SmootherConfig(cfl=cfg.cfl)
+    target = total_mass(field, grid)
+    for _ in range(2):
+        field = nmlm_cycle(1, field, None, plan, grid, src, walls, smoother_cfg, target)
+        _assert_invariants(field, grid, target)
+    for _ in range(2):
+        field = sgs_sweep(field, grid, src, walls, smoother_cfg, target)
+        _assert_invariants(field, grid, target)
 
 
 @pytest.mark.slow

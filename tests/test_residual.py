@@ -6,7 +6,7 @@ import pytest
 from momentmg import (BoundarySpec, CollisionKind, CollisionSpec, Field,
                       Grid1D, MomentState, NuLaw, OrderTable, ScenarioSource,
                       derived_moments, mass_correction, total_mass)
-from momentmg.residual import CellRhs, cell_defect, field_residuals, source_terms
+from momentmg.residual import PinnedRhs, field_residuals, source_terms
 from momentmg.states import maxwellian_state
 
 from oracles import random_admissible
@@ -55,7 +55,7 @@ def test_tangential_force_feeds_degree_one():
 
 def test_uniform_equilibrium_residual_vanishes_periodic():
     field, grid, src = _periodic_setup()
-    res = field_residuals(field, grid, src, walls=None)
+    res, _terms = field_residuals(field, grid, src, walls=None)
     assert max(np.max(np.abs(r)) for r in res) < 1e-13
 
 
@@ -65,10 +65,10 @@ def test_fas_rhs_fixed_point():
     field, grid, src = _periodic_setup(M=4, N=6)
     for c in field.cells:
         c.coeffs[5:] += rng.normal(scale=0.02, size=c.table.count - 5)
-    plain = field_residuals(field, grid, src, walls=None)
-    rhs = [CellRhs(-d, c.u.copy(), c.theta)
-           for d, c in zip(plain, field.cells)]  # r_i = R_i since defect = -R_i
-    res = field_residuals(field, grid, src, walls=None, rhs=rhs)
+    plain, _terms = field_residuals(field, grid, src, walls=None)
+    rhs = PinnedRhs(-plain, np.array([c.u for c in field.cells]),
+                    np.array([c.theta for c in field.cells]))  # r_i = R_i since defect = -R_i
+    res, _terms = field_residuals(field, grid, src, walls=None, rhs=rhs)
     assert max(np.max(np.abs(r)) for r in res) < 1e-13
 
 
@@ -82,7 +82,7 @@ def test_mass_residual_is_upwinded_divergence():
     field = Field(M, cells)
     src = ScenarioSource(CollisionSpec(kind=CollisionKind.BGK, kn=1.0))
     i = 3
-    res = cell_defect(field, i, grid, src, walls=None)
+    res = field_residuals(field, grid, src, walls=None)[0][i]
     from momentmg.fluxes import numerical_flux
     this = field.cells[i]
     fr = numerical_flux(this, field.cells[i + 1], this.u, this.theta, this.table)
@@ -101,7 +101,7 @@ def test_wall_cells_use_wall_flux():
     field = Field.equilibrium(M, N)
     src = ScenarioSource(CollisionSpec(kind=CollisionKind.BGK, kn=0.5))
     walls = (BoundarySpec(1.0, (0.0, 0.0), 1.0), BoundarySpec(1.0, (0.0, 0.0), 1.0))
-    res = field_residuals(field, grid, src, walls)
+    res, _terms = field_residuals(field, grid, src, walls)
     # equilibrium at wall temperature: walls are invisible, residual zero
     assert max(np.max(np.abs(r)) for r in res) < 1e-12
 

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from momentmg import (BoundarySpec, CollisionKind, CollisionSpec, ConfigError, NuLaw,
-                      ReductionStrategy, ScenarioConfig, ScenarioKind, couette_config,
-                      load_config, parse_config, poiseuille_config)
+                      ReductionStrategy, ScenarioConfig, ScenarioKind, ScenarioSource,
+                      couette_config, load_config, parse_config, poiseuille_config)
 from momentmg.scenarios import preset_names, preset_path
 
 
@@ -171,6 +171,9 @@ def test_non_finite_scenario_values_are_config_errors(key, bad, d):
         value = tuple(value)
     with pytest.raises(ConfigError):
         make(**{key: value})
+    if key == "force":
+        with pytest.raises(ConfigError):
+            ScenarioSource(CollisionSpec(), value)
 
 
 @settings(max_examples=60, deadline=None)

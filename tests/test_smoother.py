@@ -8,7 +8,7 @@ from momentmg import (BoundarySpec, CollisionKind, CollisionSpec, Field,
                       SmootherConfig, richardson_step, sgs_sweep, smooth,
                       total_mass)
 from momentmg.cycle import residual_norm_of
-from momentmg.residual import CellRhs, field_residuals
+from momentmg.residual import PinnedRhs, defect_terms, field_residuals
 
 
 def _couette(M=4, N=32):
@@ -33,7 +33,7 @@ def test_zero_defect_is_fixed_point():
     grid = Grid1D.uniform(1.0, N)
     field = Field.equilibrium(M, N)
     src = ScenarioSource(CollisionSpec(kind=CollisionKind.BGK, kn=0.5))
-    out = richardson_step(2, field, grid, src, None, SmootherConfig())
+    out = richardson_step(2, field, SmootherConfig(), defect_terms(field, grid, src, None))
     assert np.allclose(out.coeffs, field.cells[2].coeffs, atol=1e-14)
     assert np.array_equal(out.u, field.cells[2].u)
 
@@ -49,7 +49,7 @@ def test_omega_scales_with_cell_size():
         field = Field.equilibrium(M, N)
         src = ScenarioSource(CollisionSpec(kind=CollisionKind.BGK, kn=0.5),
                              force=(0.0, 1e-4, 0.0))
-        out = richardson_step(0, field, grid, src, None, SmootherConfig())
+        out = richardson_step(0, field, SmootherConfig(), defect_terms(field, grid, src, None))
         drifts[L] = out.u[1]
     assert drifts[1.0] > 0.0
     assert drifts[2.0] == pytest.approx(2.0 * drifts[1.0], rel=1e-10)
@@ -68,7 +68,7 @@ def test_positivity_backoff_recovers():
                       np.concatenate(([5.0], np.zeros(t.count - 1))))
     field = Field(M, [near_vac, big])
     src = ScenarioSource(CollisionSpec(kind=CollisionKind.BGK, kn=0.01))
-    out = richardson_step(0, field, grid, src, None, SmootherConfig())
+    out = richardson_step(0, field, SmootherConfig(), defect_terms(field, grid, src, None))
     assert out.rho > 0.0
     assert out.theta > 0.0
 
@@ -100,8 +100,9 @@ def test_sweep_with_fas_rhs_is_identity():
         # perturb only degree >= 3 so the states stay centered
         c.coeffs[10:] += rng.normal(scale=0.01, size=c.table.count - 10)
     src = ScenarioSource(CollisionSpec(kind=CollisionKind.BGK, kn=0.5))
-    plain = field_residuals(field, grid, src, None)
-    rhs = [CellRhs(-d, c.u.copy(), c.theta) for d, c in zip(plain, field.cells)]
+    plain, _terms = field_residuals(field, grid, src, None)
+    rhs = PinnedRhs(-plain, np.array([c.u for c in field.cells]),
+                    np.array([c.theta for c in field.cells]))
     before = [c.coeffs.copy() for c in field.cells]
     sgs_sweep(field, grid, src, None, SmootherConfig(rhs=rhs))
     for b, c in zip(before, field.cells):

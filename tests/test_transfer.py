@@ -7,8 +7,7 @@ from momentmg import (CollisionKind, CollisionSpec, Field, Grid1D,
                       ScenarioSource, local_residual_norm, moment_count)
 from momentmg.residual import field_residuals
 from momentmg.states import maxwellian_state
-from momentmg.transfer import (coarse_rhs, prolong_correction,
-                               restrict_residual, restrict_state, zero_pad)
+from momentmg.transfer import coarse_rhs, prolong_correction, restrict_state, zero_pad
 
 from oracles import conservative_moments, random_admissible
 
@@ -70,12 +69,6 @@ def test_truncation_does_not_increase_norm():
         assert cut <= full + 1e-15
 
 
-def test_restrict_residual_matches_component_slice():
-    res = np.arange(moment_count(5), dtype=float)
-    out = restrict_residual(res, 3)
-    assert np.array_equal(out, np.arange(moment_count(3), dtype=float))
-
-
 def _couette_pieces(M, N):
     grid = Grid1D.uniform(1.0, N)
     src = ScenarioSource(CollisionSpec(kind=CollisionKind.BGK, kn=0.3))
@@ -84,17 +77,31 @@ def _couette_pieces(M, N):
     return field, grid, src
 
 
+def test_coarse_rhs_restricts_fine_defects_as_component_slice():
+    # r_m = R_m(coarse) + the first K_m components of each fine defect,
+    # pinned at the coarse cells' own centres
+    M, m, N = 5, 3, 4
+    field, grid, src = _couette_pieces(M, N)
+    fine_def = np.arange(N * moment_count(M), dtype=float).reshape(N, -1)
+    coarse = Field(m, [restrict_state(c, m) for c in field.cells])
+    rhs, terms = coarse_rhs(fine_def, coarse, grid, src, None)
+    coarse_def, _terms = field_residuals(coarse, grid, src, None)  # = -R_m
+    assert np.array_equal(rhs.coeffs, fine_def[:, :moment_count(m)] - coarse_def)
+    assert np.array_equal(rhs.u, [c.u for c in coarse.cells])
+    assert np.array_equal(rhs.theta, [c.theta for c in coarse.cells])
+    assert np.array_equal(terms.rhs, rhs.coeffs)
+
+
 def test_coarse_rhs_fas_consistency():
     # at the restricted field, the coarse defect with the two-level
     # right-hand side reproduces the truncated fine defect exactly
     M, m, N = 4, 2, 6
     field, grid, src = _couette_pieces(M, N)
-    fine_def = field_residuals(field, grid, src, None)
+    fine_def, _terms = field_residuals(field, grid, src, None)
     coarse = Field(m, [restrict_state(c, m) for c in field.cells])
-    rhs, _terms = coarse_rhs(field, fine_def, coarse, grid, src, None)
-    res = field_residuals(coarse, grid, src, None, rhs=rhs)
-    for r, d in zip(res, fine_def):
-        assert np.allclose(r, restrict_residual(d, m), atol=1e-12)
+    rhs, _terms = coarse_rhs(fine_def, coarse, grid, src, None)
+    res, _terms = field_residuals(coarse, grid, src, None, rhs=rhs)
+    assert np.allclose(res, fine_def[:, :moment_count(m)], atol=1e-12)
 
 
 def test_coarse_rhs_reduces_to_truncated_defect_at_coarse_equilibrium():
@@ -107,11 +114,10 @@ def test_coarse_rhs_reduces_to_truncated_defect_at_coarse_equilibrium():
     rng = np.random.default_rng(65)
     for c in field.cells:  # degree >= 3 content only: invisible at m = 2
         c.coeffs[10:] += rng.normal(scale=0.01, size=c.table.count - 10)
-    fine_def = field_residuals(field, grid, src, None)
+    fine_def, _terms = field_residuals(field, grid, src, None)
     coarse = Field(m, [restrict_state(c, m) for c in field.cells])
-    rhs, _terms = coarse_rhs(field, fine_def, coarse, grid, src, None)
-    for r, d in zip(rhs, fine_def):
-        assert np.allclose(r.coeffs, restrict_residual(d, m), atol=1e-13)
+    rhs, _terms = coarse_rhs(fine_def, coarse, grid, src, None)
+    assert np.allclose(rhs.coeffs, fine_def[:, :moment_count(m)], atol=1e-13)
 
 
 def test_prolong_zero_increment_is_identity():
