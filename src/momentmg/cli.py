@@ -88,9 +88,10 @@ def _run_and_write(cfg: ScenarioConfig, out: Path, baseline: bool = False):
     header, rows = _profile_rows(cfg, result.field, grid)
     _write_csv(out / "profile.csv", header, rows)
 
-    summary_header = ["converged", "levels", "strategy", "K", "T"]
-    summary_row = [int(result.converged), cfg.levels, cfg.strategy.value,
-                   K, repr(T)]
+    diag = vars(result.diagnostics)  # coarse_calls, rejected_corrections, backoffs
+    summary_header = ["converged", "levels", "strategy", "K", "T", *diag]
+    summary_row = [int(result.converged), cfg.levels, cfg.strategy.value, K, repr(T),
+                   *diag.values()]
     if baseline and cfg.levels > 1:
         from dataclasses import replace
         _base, K_s, T_s, _grid = _solve_config(replace(cfg, levels=1))

@@ -95,6 +95,7 @@ class ConvergenceRecord:
 class CycleDiagnostics:
     coarse_calls: int = 0
     rejected_corrections: int = 0
+    backoffs: int = 0  # positivity halvings of a Richardson step size
 
 
 @dataclass
@@ -124,9 +125,9 @@ def nmlm_cycle(level: int, field: Field, rhs: PinnedRhs | None,
         raise ValueError(f"field order {field.order} != plan level order {plan.orders[level]}")
     level_cfg = SmootherConfig(cfl=cfg.cfl, rhs=rhs)
     if level == 0:
-        return smooth(field, plan.s3, grid, src, walls, level_cfg, target_mass, terms)
+        return smooth(field, plan.s3, grid, src, walls, level_cfg, target_mass, terms, diag)
 
-    field = smooth(field, plan.s1, grid, src, walls, level_cfg, target_mass, terms)
+    field = smooth(field, plan.s1, grid, src, walls, level_cfg, target_mass, terms, diag)
 
     defects, _terms = field_residuals(field, grid, src, walls, rhs)
     m = plan.orders[level - 1]
@@ -147,7 +148,7 @@ def nmlm_cycle(level: int, field: Field, rhs: PinnedRhs | None,
             if diag is not None:
                 diag.rejected_corrections += 1
 
-    return smooth(field, plan.s2, grid, src, walls, level_cfg, target_mass)
+    return smooth(field, plan.s2, grid, src, walls, level_cfg, target_mass, diag=diag)
 
 
 def residual_norm_of(field: Field, grid: Grid1D, src: ScenarioSource, walls,

@@ -16,14 +16,14 @@ __all__ = ["Grid1D", "Field", "BoundarySpec", "ScenarioSource",
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Mesh nodes x_0 < ... < x_N over [x_0, x_N]."""
+    """Finite mesh nodes x_0 < ... < x_N over [x_0, x_N]."""
 
     nodes: np.ndarray
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=np.float64)
-        if len(nodes) < 2 or np.any(np.diff(nodes) <= 0.0):
-            raise ValueError("grid nodes must be strictly increasing")
+        if len(nodes) < 2 or not (np.all(np.isfinite(nodes)) and np.all(np.diff(nodes) > 0.0)):
+            raise ConfigError("grid nodes must be finite and strictly increasing")
         object.__setattr__(self, "nodes", nodes)
 
     @classmethod

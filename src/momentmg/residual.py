@@ -18,6 +18,9 @@ wall faces and the face against the neighbour relaxed after the cell.  The
 face against the neighbour already relaxed in this pass is the one left
 open.  Those are a subset of the whole field's, so a pass on a field whose
 whole-field terms were just built takes them over (:func:`reopen`).
+An open face moves the neighbour into the cell's basis with one scalar
+series per step, from its raw relaxed coefficients about its pre-pass
+centre; the smoother re-centres the whole field once per pass.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import change_basis, change_basis_batch, max_wave_speed, wave_speeds
+from .basis import change_basis, change_basis_batch, wave_speeds
 from .equilibrium import collision_frequency, equilibrium_batch
 from .fluxes import lf_flux
 from .grid import Field, Grid1D, ScenarioSource
@@ -56,7 +59,7 @@ class DefectTerms:
 
     ``flux_l`` / ``flux_r`` hold the left / right face flux where
     ``closed_l`` / ``closed_r`` is set; an open face is evaluated by
-    :func:`cell_defect` against the neighbour's current state.
+    :func:`cell_defect` against the neighbour's current state and ``lam``.
     """
 
     dx: np.ndarray
@@ -153,17 +156,19 @@ def defect_terms(field: Field, grid: Grid1D, src: ScenarioSource, walls,
 def reopen(terms: DefectTerms, walls, sweep: int) -> DefectTerms:
     """The terms of a Gauss-Seidel pass (``sweep = +1`` / ``-1``) from the
     ``sweep = 0`` terms of the same, unchanged field: every term the pass
-    freezes is there bit for bit, so only faces are re-opened."""
+    freezes is there bit for bit, so only faces are re-opened and ``lam``,
+    which the pass overwrites, is copied."""
     closed = _face_plan(len(terms.lam), walls is not None, sweep)[-1]
-    return replace(terms, closed_l=closed[0], closed_r=closed[1])
+    return replace(terms, lam=terms.lam.copy(), closed_l=closed[0], closed_r=closed[1])
 
 
-def _open_face(field: Field, i: int, j: int, lam_i: float, j_is_right: bool) -> np.ndarray:
-    """Lax-Friedrichs flux between cell i and its neighbour j in i's basis."""
+def _open_face(field: Field, i: int, j: int, lam: np.ndarray, j_is_right: bool) -> np.ndarray:
+    """Lax-Friedrichs flux between cell i and its neighbour j in i's basis,
+    with ``lam`` the cells' current wave speeds."""
     this, nb = field.cells[i], field.cells[j]
     table = OrderTable(field.order)
     w_nb = change_basis(nb.coeffs, nb.u, nb.theta, this.u, this.theta, table)
-    lam = max(lam_i, max_wave_speed(nb))
+    lam = max(float(lam[i]), float(lam[j]))
     wl, wr = (this.coeffs, w_nb) if j_is_right else (w_nb, this.coeffs)
     return lf_flux(wl, wr, lam, float(this.u[0]), this.theta, table)
 
@@ -173,11 +178,10 @@ def cell_defect(field: Field, i: int, terms: DefectTerms) -> np.ndarray:
     against its current neighbours, in cell i's basis, from the field's
     :class:`DefectTerms`, which already carry the right-hand side."""
     n = len(field)
-    lam = float(terms.lam[i])
     flux_r = (terms.flux_r[i] if terms.closed_r[i]
-              else _open_face(field, i, (i + 1) % n, lam, True))
+              else _open_face(field, i, (i + 1) % n, terms.lam, True))
     flux_l = (terms.flux_l[i] if terms.closed_l[i]
-              else _open_face(field, i, (i - 1) % n, lam, False))
+              else _open_face(field, i, (i - 1) % n, terms.lam, False))
     R = (flux_r - flux_l) / terms.dx[i] - terms.source[i]
     if terms.rhs is None:
         return -R

@@ -138,8 +138,9 @@ def recover_macros(raw_coeffs: np.ndarray, u0, theta0: float, M: int) -> MomentS
     and energy.
 
     Raises :class:`PositivityError` when the raw array's mass or temperature
-    is not positive or not a number (the smoother's step-size back-off and
-    the rejection of a coarse correction catch this).
+    is not positive or not a number.  Its callers are prolongation, where
+    that rejects a coarse correction, and the tests; the smoother checks a
+    step with :func:`macros_of` and re-centres a whole pass at once.
     """
     table = OrderTable(M)
     rho, u_bar, theta_bar = macros_of(np.asarray(raw_coeffs, dtype=np.float64), u0, theta0, table)

@@ -137,9 +137,36 @@ def test_run_writes_expected_outputs(tmp_path):
     assert u2 == sorted(u2)  # Couette: tangential velocity grows wall to wall
 
     header, rows = _read_csv(out / "summary.csv")
-    assert header == ["converged", "levels", "strategy", "K", "T"]
+    assert header == ["converged", "levels", "strategy", "K", "T",
+                      "coarse_calls", "rejected_corrections", "backoffs"]
     assert rows[0][0] == "1"
     assert rows[0][1] == "2"
+    K = int(rows[0][header.index("K")])
+    assert int(rows[0][header.index("coarse_calls")]) == K  # gamma = 1
+    assert rows[0][header.index("rejected_corrections")] == "0"
+    assert rows[0][header.index("backoffs")] == "0"
+
+
+def test_summary_counts_backoffs(tmp_path, monkeypatch):
+    # the solver's back-off counter reaches summary.csv
+    import momentmg.cli as cli_mod
+    from momentmg.scenarios import ScenarioConfig
+    from test_smoother import near_vacuum_pair
+    field, grid, src = near_vacuum_pair()
+    monkeypatch.setattr(ScenarioConfig, "build", lambda self: (field, grid, src, None))
+    results = []
+    real_solve = cli_mod.solve
+
+    def recording_solve(*args, **kwargs):
+        results.append(real_solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli_mod, "solve", recording_solve)
+    run_benchmark(couette_config(N=2, M=3, levels=1, max_iters=1), tmp_path / "run")
+    header, rows = _read_csv(tmp_path / "run" / "summary.csv")
+    backoffs = int(rows[0][header.index("backoffs")])
+    assert backoffs > 0
+    assert backoffs == results[0].diagnostics.backoffs
 
 
 def test_run_baseline_reports_speedups(tmp_path):

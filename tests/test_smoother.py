@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from momentmg import (BoundarySpec, CollisionKind, CollisionSpec, Field,
+from momentmg import (BoundarySpec, CollisionKind, CollisionSpec, CyclePlan, Field,
                       Grid1D, MomentState, NuLaw, OrderTable, ScenarioSource,
-                      SmootherConfig, richardson_step, sgs_sweep, smooth,
-                      total_mass)
+                      SmootherConfig, recover_macros, richardson_step, sgs_sweep,
+                      smooth, solve, total_mass)
 from momentmg.cycle import residual_norm_of
 from momentmg.residual import PinnedRhs, defect_terms, field_residuals
 
@@ -21,6 +21,15 @@ def _couette(M=4, N=32):
     return Field.equilibrium(M, N), grid, src, walls
 
 
+def _relaxed(i, field, grid, src):
+    """One Richardson step of cell i against the field's closed defect terms,
+    re-centred onto its own macros, and the step's halvings of omega."""
+    this = field.cells[i]
+    coeffs, _u, _theta, halvings = richardson_step(i, field, SmootherConfig(),
+                                                   defect_terms(field, grid, src, None))
+    return recover_macros(coeffs, this.u, this.theta, this.order), halvings
+
+
 def test_cfl_validation():
     with pytest.raises(ValueError):
         SmootherConfig(cfl=0.0)
@@ -33,7 +42,7 @@ def test_zero_defect_is_fixed_point():
     grid = Grid1D.uniform(1.0, N)
     field = Field.equilibrium(M, N)
     src = ScenarioSource(CollisionSpec(kind=CollisionKind.BGK, kn=0.5))
-    out = richardson_step(2, field, SmootherConfig(), defect_terms(field, grid, src, None))
+    out, _halvings = _relaxed(2, field, grid, src)
     assert np.allclose(out.coeffs, field.cells[2].coeffs, atol=1e-14)
     assert np.array_equal(out.u, field.cells[2].u)
 
@@ -49,15 +58,18 @@ def test_omega_scales_with_cell_size():
         field = Field.equilibrium(M, N)
         src = ScenarioSource(CollisionSpec(kind=CollisionKind.BGK, kn=0.5),
                              force=(0.0, 1e-4, 0.0))
-        out = richardson_step(0, field, SmootherConfig(), defect_terms(field, grid, src, None))
+        out, _halvings = _relaxed(0, field, grid, src)
         drifts[L] = out.u[1]
     assert drifts[1.0] > 0.0
     assert drifts[2.0] == pytest.approx(2.0 * drifts[1.0], rel=1e-10)
 
 
-def test_positivity_backoff_recovers():
-    # adversarial cell: huge defect that would drive rho* negative at the
-    # nominal omega; the halving loop must still return an admissible state
+def near_vacuum_pair():
+    """A near-vacuum cell beside a dense one on a periodic two-cell grid,
+    under a strong force.  Lax-Friedrichs keeps every density positive (the
+    near-vacuum cell fills up), but the force lowers a cell's temperature
+    by omega^2 F^2 / 3 in one step, which at the nominal omega would be
+    negative in the dense cell."""
     M, N = 3, 2
     grid = Grid1D.uniform(1.0, N)
     t = OrderTable(M)
@@ -66,11 +78,28 @@ def test_positivity_backoff_recovers():
     near_vac = MomentState(M, np.zeros(3), 1.0, w)
     big = MomentState(M, np.zeros(3), 1.0,
                       np.concatenate(([5.0], np.zeros(t.count - 1))))
-    field = Field(M, [near_vac, big])
-    src = ScenarioSource(CollisionSpec(kind=CollisionKind.BGK, kn=0.01))
-    out = richardson_step(0, field, SmootherConfig(), defect_terms(field, grid, src, None))
+    src = ScenarioSource(CollisionSpec(kind=CollisionKind.BGK, kn=0.01),
+                         force=(10.0, 0.0, 0.0))
+    return Field(M, [near_vac, big]), grid, src
+
+
+def test_positivity_backoff_recovers():
+    # the halving loop must return an admissible state, and does halve
+    # omega in the dense cell
+    field, grid, src = near_vacuum_pair()
+    out, _halvings = _relaxed(0, field, grid, src)
     assert out.rho > 0.0
     assert out.theta > 0.0
+    out, halvings = _relaxed(1, field, grid, src)
+    assert halvings > 0
+    assert out.rho > 0.0
+    assert out.theta > 0.0
+
+
+def test_solver_counts_backoffs():
+    field, grid, src = near_vacuum_pair()
+    result = solve(field, grid, src, None, CyclePlan((3,), s3=1), max_iters=1)
+    assert result.diagnostics.backoffs > 0
 
 
 def test_sweep_keeps_target_mass_exactly():
