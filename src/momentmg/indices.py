@@ -93,9 +93,28 @@ class OrderTable:
         self._shift6[self._shift6 < 0] = self.count
         self._neg_j = -np.arange(1.0, M + 1.0)[:, None]  # the series' divisors
 
+        # chains along each axis d: chain p fixes the two other indices to
+        # the p-th pair (s, t), s + t <= M, enumerated s-major, and runs
+        # alpha_d = 0..M-s-t.  ``chain_pos[d, r]`` is the flat position
+        # p * (M + 1) + alpha_d of rank r in the padded (P, M + 1) layout of
+        # axis d, ``chain_rank[d]`` its inverse, which points the padding
+        # past a chain's end at rank 0, and ``chain_mask`` is 1 on the
+        # chains and 0 on the padding (the same for every axis).
+        n_pairs = (M + 1) * (M + 2) // 2
+        self.chain_pos = np.empty((3, self.count), dtype=np.int64)
+        self.chain_rank = np.zeros((3, n_pairs * (M + 1)), dtype=np.int64)
+        for d in range(3):
+            s, t = np.delete(self.alphas, d, axis=1).T
+            self.chain_pos[d] = (s * (M + 1) - s * (s - 1) // 2 + t) * (M + 1) + self.alphas[:, d]
+            self.chain_rank[d, self.chain_pos[d]] = np.arange(self.count)
+        self.chain_rank = self.chain_rank.reshape(3, n_pairs, M + 1)
+        self.chain_mask = np.zeros((n_pairs, M + 1))
+        self.chain_mask.flat[self.chain_pos[0]] = 1.0
+
         for arr in (self.alphas, self.degree, self.degree_offset,
                     self.minus, self.minus2, self.plus, self.factorial, self._shift6,
-                    self.r_macro, self._neg_j):
+                    self.r_macro, self._neg_j, self.chain_pos, self.chain_rank,
+                    self.chain_mask):
             arr.setflags(write=False)
 
     def rank(self, alpha) -> int:

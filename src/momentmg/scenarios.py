@@ -65,6 +65,8 @@ class ScenarioConfig:
             raise ConfigError("CFL factor must lie strictly in (0, 1)")
         if self.levels < 1:
             raise ConfigError("level count must be >= 1")
+        if self.gamma < 1 or min(self.s1, self.s2, self.s3) < 0:
+            raise ConfigError("need cycle index gamma >= 1 and smoothing counts s1, s2, s3 >= 0")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ConfigError(f"tol must be finite and positive, got {self.tol}")
         if self.max_iters < 1:

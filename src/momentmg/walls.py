@@ -44,12 +44,8 @@ class Side(enum.Enum):
 @lru_cache(maxsize=None)
 def _wall_plan(M: int):
     """Per-order tables of the wall flux: the theta-power exponents of the
-    half-space matrices, the linearisation tensor
-    ``T[n, m, j] = sum_k C(n,k) C(m,k) k! [j = n+m-2k] / n!``, and the normal
-    chains (fixed tangential index (a2, a3), a1 running 0..M-a2-a3) as one
-    padded gather with its mask and the flat positions that put the chain
-    results back in rank order."""
-    table = OrderTable(M)
+    half-space matrices and the linearisation tensor
+    ``T[n, m, j] = sum_k C(n,k) C(m,k) k! [j = n+m-2k] / n!``."""
     n_idx = np.arange(M + 1)
     power = 0.5 * (n_idx[:, None] - n_idx[None, :])
     lin = np.zeros((M + 1, M + 1, 2 * M + 1))
@@ -58,16 +54,7 @@ def _wall_plan(M: int):
             for k in range(min(n, m) + 1):
                 lin[n, m, n + m - 2 * k] = (math.comb(n, k) * math.comb(m, k)
                                             * math.factorial(k) / math.factorial(n))
-    chains = [[table.rank((m, a2, a3)) for m in range(M + 1 - a2 - a3)]
-              for a2 in range(M + 1) for a3 in range(M + 1 - a2)]
-    gather = np.zeros((len(chains), M + 1), dtype=np.int64)
-    mask = np.zeros((len(chains), M + 1))
-    for p, ranks in enumerate(chains):
-        gather[p, :len(ranks)] = ranks
-        mask[p, :len(ranks)] = 1.0
-    scatter = np.empty(table.count, dtype=np.int64)
-    scatter[gather[mask > 0]] = np.flatnonzero(mask)
-    return power, lin.reshape((M + 1) ** 2, 2 * M + 1), gather, mask, scatter
+    return power, lin.reshape((M + 1) ** 2, 2 * M + 1)
 
 
 def _half_flux_matrices(u1: float, theta: float, M: int) -> np.ndarray:
@@ -83,7 +70,7 @@ def _half_flux_matrices(u1: float, theta: float, M: int) -> np.ndarray:
     evaluation the largest deviation, relative to the largest entry, measured
     4e-15 at M = 10, 9e-14 at M = 16 and 9e-13 at M = 26.
     """
-    power, lin, *_ = _wall_plan(M)
+    power, lin = _wall_plan(M)
     rt = math.sqrt(theta)
     c = -u1 / rt
     # W[s, j] = int_s (u1 + rt v) He_j phi = rt int_s (v - c) He_j phi
@@ -99,9 +86,11 @@ def _half_flux_matrices(u1: float, theta: float, M: int) -> np.ndarray:
 
 
 def _apply_half_flux(A: np.ndarray, coeffs: np.ndarray, M: int) -> np.ndarray:
-    """Apply one half-space matrix to every normal chain of ``coeffs``."""
-    *_, gather, mask, scatter = _wall_plan(M)
-    return ((coeffs[gather] * mask) @ A.T).ravel()[scatter]
+    """Apply one half-space matrix to every normal chain (the axis-0 chains
+    of the order's table) of ``coeffs``."""
+    table = OrderTable(M)
+    chains = coeffs[table.chain_rank[0]] * table.chain_mask
+    return (chains @ A.T).ravel()[table.chain_pos[0]]
 
 
 def wall_flux(inner: MomentState, wall: BoundarySpec, side: Side) -> np.ndarray:

@@ -125,6 +125,28 @@ def test_change_basis_matches_convolution_reference(M):
         assert float(np.max(np.abs(got - ref)) / np.max(np.abs(ref))) <= 1e-14
 
 
+@pytest.mark.parametrize("M", range(2, 27))
+def test_change_basis_batch_matches_convolution_reference(M):
+    rng = np.random.default_rng(2000 + M)
+    t = OrderTable(M)
+    scales = np.array([0.0, 0.1, 1.0, 2.5, 2.5])  # row 0 is the identity
+    B = len(scales)
+    coeffs = rng.normal(size=(B, t.count))
+    u_from = rng.normal(scale=0.5, size=(B, 3))
+    u_to = u_from + scales[:, None] * rng.uniform(-1.0, 1.0, size=(B, 3))
+    theta_from, theta_to = rng.uniform(0.4, 2.4, size=(2, B))
+    theta_to[0] = theta_from[0]
+    got = change_basis_batch(coeffs, u_from, theta_from, u_to, theta_to, t)
+    assert np.array_equal(got[0], coeffs[0])
+    # a one-cell field between walls has no interior face: an empty stack
+    empty = change_basis_batch(coeffs[:0], u_from[:0], theta_from[:0], u_to[:0], theta_to[:0], t)
+    assert empty.shape == (0, t.count)
+    for b in range(1, B):
+        ref = reference_change_basis(coeffs[b], u_from[b], theta_from[b],
+                                     u_to[b], theta_to[b], M)
+        assert float(np.max(np.abs(got[b] - ref)) / np.max(np.abs(ref))) <= 1e-14
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([float("nan"), -float("inf"), 0.0, -1.0]), st.booleans())
 def test_change_basis_rejects_non_positive_or_nan_temperature(bad, at_target):

@@ -50,6 +50,15 @@ def test_non_finite_config_value_is_bad_config(tmp_path, capsys, line):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["gamma = 0", "s3 = -1", "s1 = -2"])
+def test_invalid_cycle_shape_is_bad_config(tmp_path, capsys, line):
+    bad = tmp_path / "cycle.cfg"
+    bad.write_text(f"[scenario]\nkind = couette\nN = 8\n[solver]\nlevels = 2\n{line}\n")
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "a")]) == EXIT_BAD_CONFIG
+    assert not (tmp_path / "a").exists()
+    assert "error:" in capsys.readouterr().err
+
+
 def test_no_convergence_exit_code(tmp_path):
     # one cycle cannot reach 1e-8 from equilibrium: partial outputs kept
     cfg = couette_config(N=8, levels=2, max_iters=1)

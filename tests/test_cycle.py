@@ -5,8 +5,9 @@ import pytest
 
 from momentmg import (BoundarySpec, CollisionKind, CollisionSpec, ConvergenceError,
                       CyclePlan, Field, Grid1D, NuLaw, ReductionStrategy, ScenarioSource,
-                      SmootherConfig, nmlm_cycle, order_sequence, poiseuille_config,
-                      sgs_sweep, smooth, solve, total_mass)
+                      SmootherConfig, couette_config, derived_moments, nmlm_cycle,
+                      order_sequence, poiseuille_config, sgs_sweep, smooth, solve,
+                      total_mass)
 from momentmg.cycle import CycleDiagnostics, residual_norm_of
 
 
@@ -223,3 +224,23 @@ def test_solve_couette_two_level_converges():
     # monotone tail: the last few cycles keep shrinking the residual
     tail = [h.residual for h in result.history[-5:]]
     assert all(a > b for a, b in zip(tail, tail[1:]))
+
+
+@pytest.mark.slow
+def test_couette_top_order_solve_converges_symmetric():
+    # the highest order the package accepts, 2 levels halve (orders 13, 26)
+    cfg = couette_config(N=8, M=26, levels=2, strategy=ReductionStrategy.HALVE)
+    field, grid, src, walls = cfg.build()
+    target = total_mass(field, grid)
+    result = solve(field, grid, src, walls, cfg.plan(), tol=cfg.tol, max_iters=100,
+                   cfg=SmootherConfig(cfl=cfg.cfl))
+    assert result.converged and len(result.history) == 27
+    _assert_invariants(result.field, grid, target)
+    macros = [derived_moments(c) for c in result.field.cells]
+    rho = np.array([m.rho for m in macros])
+    theta = np.array([m.theta for m in macros])
+    u2 = np.array([m.u[1] for m in macros])
+    # mirror symmetry of the channel, as the benchmark checks it
+    assert np.max(np.abs(rho - rho[::-1])) <= 1e-6
+    assert np.max(np.abs(theta - theta[::-1])) <= 1e-6
+    assert np.max(np.abs(u2 + u2[::-1] - walls[1].u_wall[0])) <= 1e-6

@@ -69,6 +69,28 @@ def test_six_shift_gather_matches_manual_lookup():
             assert t._shift6[c, r] == expect
 
 
+@pytest.mark.parametrize("M", [2, 5, 10])
+def test_chains_match_manual_lookup(M):
+    # chain p of axis d holds the alphas with the other two indices fixed to
+    # the p-th pair (s, t), s-major, at position alpha_d; padding is rank 0
+    t = OrderTable(M)
+    pairs = [(s, q) for s in range(M + 1) for q in range(M + 1 - s)]
+    assert t.chain_rank.shape == (3, len(pairs), M + 1)
+    for d in range(3):
+        for p, (s, q) in enumerate(pairs):
+            for k in range(M + 1):
+                inside = k <= M - s - q
+                assert t.chain_mask[p, k] == float(inside)
+                if not inside:
+                    assert t.chain_rank[d, p, k] == 0
+                    continue
+                a = [s, q]
+                a.insert(d, k)
+                r = t.rank(a)
+                assert t.chain_rank[d, p, k] == r
+                assert t.chain_pos[d, r] == p * (M + 1) + k
+
+
 @pytest.mark.parametrize("M", range(2, 27))
 def test_unit_and_degree2_diagonal_ranks_are_fixed(M):
     # states._enforce_admissibility slices these ranks without a lookup

@@ -75,6 +75,14 @@ def test_invalid_configs_raise():
         poiseuille_config(walls=couette_config().walls)  # moving wall
 
 
+@pytest.mark.parametrize("key,bad", [("gamma", 0), ("s1", -2), ("s2", -1), ("s3", -1)])
+def test_invalid_cycle_shape_is_config_error(key, bad):
+    with pytest.raises(ConfigError, match="gamma >= 1"):
+        couette_config(**{key: bad})
+    with pytest.raises(ConfigError, match="gamma >= 1"):
+        parse_config(f"[scenario]\nkind = couette\n[solver]\n{key} = {bad}\n")
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_non_finite_tolerance_is_config_error(tol):
     with pytest.raises(ConfigError, match="finite and positive"):
